@@ -13,7 +13,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .knowledge import KnowledgeBase, KnowledgeError, load_knowledge
+from .knowledge import (
+    KnowledgeBase,
+    KnowledgeError,
+    MappingEvaluationError,
+    load_knowledge,
+)
 from .model import (
     ParseError,
     parse_advertisement,
@@ -24,8 +29,9 @@ from .model import (
 )
 from .routing import RoutingMode
 from .semantic import (
-    _augmented,
-    _normalized_sub,
+    augment,
+    normalize_event,
+    normalize_subscription,
     sem_covers,
     sem_intersects,
     sem_match,
@@ -38,7 +44,7 @@ from .sim import (
     run,
     verify,
 )
-from .syntactic import covers, intersects, match_event, match_pair
+from .syntactic import match_pair
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -118,9 +124,9 @@ def _load_kb(args) -> KnowledgeBase:
 
 
 def _explain_match(event, sub, kb, semantic: bool) -> None:
+    augmented = augment(normalize_event(event, kb), kb)
+    n_sub = normalize_subscription(sub, kb)
     if semantic:
-        augmented = _augmented(event, kb)
-        n_sub = _normalized_sub(sub, kb)
         print(f"normalized event: {render(augmented.base)}")
         print(f"normalized subscription: {render(n_sub)}")
         print("added pairs:")
@@ -128,13 +134,9 @@ def _explain_match(event, sub, kb, semantic: bool) -> None:
             print("  (none)")
         for ap in augmented.added:
             print(f"  {render_pair(ap.pair)}  [{ap.provenance.value}]")
-        pairs = augmented.all_pairs()
-        predicates = n_sub.predicates
-    else:
-        pairs = event.pairs
-        predicates = sub.predicates
+    pairs = augmented.all_pairs()
     print("predicates:")
-    for pred in predicates:
+    for pred in n_sub.predicates:
         witness = next((p for p in pairs if match_pair(p, pred)), None)
         shown = render_pair(witness) if witness else "no matching pair"
         text = render(type(sub)((pred,)))
@@ -145,10 +147,7 @@ def _cmd_match(args) -> int:
     kb = _load_kb(args)
     event = parse_event(args.event)
     sub = parse_subscription(args.subscription)
-    if args.mode == "semantic":
-        result = sem_match(event, sub, kb)
-    else:
-        result = match_event(event, sub)
+    result = sem_match(event, sub, kb)
     if args.explain:
         _explain_match(event, sub, kb, args.mode == "semantic")
     print("match" if result else "no-match")
@@ -159,10 +158,7 @@ def _cmd_covers(args) -> int:
     kb = _load_kb(args)
     s1 = parse_subscription(args.sub1)
     s2 = parse_subscription(args.sub2)
-    if args.mode == "semantic":
-        result = sem_covers(s1, s2, kb)
-    else:
-        result = covers(s1, s2)
+    result = sem_covers(s1, s2, kb)
     print("covers" if result else "not-covers")
     return EXIT_TRUE if result else EXIT_FALSE
 
@@ -171,10 +167,7 @@ def _cmd_intersects(args) -> int:
     kb = _load_kb(args)
     adv = parse_advertisement(args.advertisement)
     sub = parse_subscription(args.subscription)
-    if args.mode == "semantic":
-        result = sem_intersects(adv, sub, kb)
-    else:
-        result = intersects(adv, sub)
+    result = sem_intersects(adv, sub, kb)
     print("intersects" if result else "not-intersects")
     return EXIT_TRUE if result else EXIT_FALSE
 
@@ -222,7 +215,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, ParseError, KnowledgeError, ScenarioError) as err:
+    except (
+        CliError,
+        ParseError,
+        KnowledgeError,
+        MappingEvaluationError,
+        ScenarioError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -269,6 +269,8 @@ def _parse_body(raw: object, where: str) -> MappingBody:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise KnowledgeError(f"{where}: body must be an object with a kind")
     kind = raw["kind"]
+    if kind in ("rename", "years_since") and "input" not in raw:
+        raise KnowledgeError(f"{where}: {kind} body needs an input")
     if kind == "rename":
         return Rename(str(raw["input"]).lower())
     if kind == "const":

@@ -144,9 +144,6 @@ class Event:
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.pairs)
 
-    def attributes(self) -> set[str]:
-        return {p.attribute for p in self.pairs}
-
 
 @dataclass(frozen=True)
 class Subscription:

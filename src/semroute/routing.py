@@ -16,7 +16,7 @@ relation set (syntactic or semantic) is fixed per broker by `RoutingMode`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .knowledge import KnowledgeBase

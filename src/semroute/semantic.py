@@ -39,7 +39,7 @@ from .model import (
     Subscription,
     Value,
 )
-from .syntactic import _interval_subset, _intervals_overlap, interval, match_pair
+from .syntactic import implies, jointly_satisfiable, match_pair
 
 
 class Provenance(enum.Enum):
@@ -161,24 +161,22 @@ def pair_sem_matches(pair: Pair, pred: Predicate, kb: KnowledgeBase) -> bool:
 
     Equivalent to: some pair in the hierarchy closure of `pair` matches
     `pred` syntactically.  The attribute must be a descendant of (or equal
-    to) the predicate attribute; the value test depends on the operator:
+    to) the predicate attribute.  Beyond the syntactic test on the value
+    itself, only a string value climbs:
 
-      - equality climbs the value chain, so the pair value must be a
-        descendant of (or equal to) the predicate value;
-      - inequality holds unless the values are identical and the pair value
-        has no strict ancestor to differ with;
-      - ordering operators compare integers directly (integers never climb).
+      - equality holds for an ancestor, so the pair value may be a
+        descendant of the predicate value;
+      - inequality holds for any strict ancestor, which differs from the
+        value the predicate excludes.
     """
     if not kb.is_descendant_or_equal(pair.attribute, pred.attribute):
         return False
     value = pair.value
+    if pred.op.holds(value, pred.value):
+        return True
     if pred.op is RelOp.EQ:
         return _value_descends(value, pred.value, kb)
-    if pred.op is RelOp.NE:
-        if value != pred.value:
-            return True
-        return value.is_string and bool(kb.ancestors(value.data))
-    return value.is_int and pred.op.holds(value, pred.value)
+    return pred.op is RelOp.NE and value.is_string and bool(kb.ancestors(value.data))
 
 
 def _value_descends(v: Value, target: Value, kb: KnowledgeBase) -> bool:
@@ -204,22 +202,18 @@ def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
 
 def _sem_implies(p2: Predicate, p1: Predicate, kb: KnowledgeBase) -> bool:
     """True iff any event pair semantically satisfying p2 also semantically
-    satisfies p1 (p2 the more specific side)."""
+    satisfies p1 (p2 the more specific side).
+
+    The hierarchy adds one case to syntactic implication: (= v) implies
+    (= w) when v descends from w.  Against (!= w), a pair satisfying (= v)
+    still carries v itself, so the syntactic rule (v differs from w) stays
+    exact.
+    """
     if not kb.is_descendant_or_equal(p2.attribute, p1.attribute):
         return False
-    if p2.op is RelOp.EQ:
-        if p1.op is RelOp.EQ:
-            return _value_descends(p2.value, p1.value, kb)
-        if p1.op is RelOp.NE:
-            # A pair satisfying (= v) has v in its value chain; v itself
-            # witnesses (!= w) only when w differs from v.
-            return p2.value != p1.value
-        return p2.value.is_int and p1.op.holds(p2.value, p1.value)
-    if p2.op is RelOp.NE:
-        return p1.op is RelOp.NE and p1.value == p2.value
-    if not p1.op.is_ordering:
-        return False
-    return _interval_subset(interval(p2), interval(p1))
+    if p2.op is RelOp.EQ and p1.op is RelOp.EQ:
+        return _value_descends(p2.value, p1.value, kb)
+    return implies(p2, p1)
 
 
 def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
@@ -242,38 +236,26 @@ def _sem_jointly_satisfiable(sp: Predicate, ap: Predicate, kb: KnowledgeBase) ->
 
     The pair's attribute must descend to both predicate attributes, which in
     a forest means the attributes are comparable, with the deeper term the
-    witness attribute.  The value analysis mirrors `pair_sem_matches` with
-    an existential pair value:
+    witness attribute.  Every syntactic witness value is a semantic one;
+    the hierarchy adds witnesses only for string equality:
 
-      - = against =: the values must be hierarchy-comparable or equal;
-      - = against != on the same value: satisfiable only when the value has
-        a strict ancestor (the witness is the value itself, which then also
+      - = against =: the values may also be hierarchy-comparable (the
+        deeper one is the witness);
+      - = against != on the same value: satisfiable when the value has a
+        strict ancestor (the witness is the value itself, which then also
         carries a differing generalization) or a strict descendant (the
-        witness, whose chain contains the value and itself differs from it);
-      - != against != or an ordering operator: always satisfiable, since
-        values outside any finite exclusion set exist;
-      - ordering pairs: integer interval overlap.
+        witness, whose chain contains the value and itself differs from it).
     """
     if not kb.comparable(sp.attribute, ap.attribute):
         return False
-    p, q = sp, ap
-    if q.op is RelOp.EQ and p.op is not RelOp.EQ:
-        p, q = q, p
-    if p.op is RelOp.EQ:
-        if q.op is RelOp.EQ:
-            return p.value == q.value or (
-                p.value.is_string
-                and q.value.is_string
-                and kb.comparable(p.value.data, q.value.data)
-            )
-        if q.op is RelOp.NE:
-            if p.value != q.value:
-                return True
-            return p.value.is_string and kb.has_relative(p.value.data)
-        return p.value.is_int and q.op.holds(p.value, q.value)
-    if p.op is RelOp.NE or q.op is RelOp.NE:
+    if jointly_satisfiable(sp, ap):
         return True
-    return _intervals_overlap(interval(p), interval(q))
+    p, q = (sp, ap) if sp.op is RelOp.EQ else (ap, sp)
+    if p.op is not RelOp.EQ or not p.value.is_string:
+        return False
+    if q.op is RelOp.EQ:
+        return q.value.is_string and kb.comparable(p.value.data, q.value.data)
+    return q.op is RelOp.NE and p.value == q.value and kb.has_relative(p.value.data)
 
 
 def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> bool:

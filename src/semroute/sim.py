@@ -58,7 +58,7 @@ from .routing import (
     handle_message,
 )
 from .semantic import sem_determines, sem_match
-from .syntactic import determines, match_event
+from .syntactic import match_event
 
 
 class ScenarioError(ValueError):
@@ -104,11 +104,6 @@ class Scenario:
             if cid == client:
                 return broker
         raise ScenarioError(f"unknown client {client!r}")
-
-    def published_events(self) -> tuple[Event, ...]:
-        return tuple(
-            a.payload for a in self.script if a.kind is MessageKind.PUBLISH
-        )
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,12 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _list_field(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    _require(isinstance(value, list), f"{key} must be a list")
+    return value
+
+
 def _check_tree(brokers: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
     _require(len(edges) == len(brokers) - 1, "edges must form a tree")
     adjacency: dict[str, list[str]] = {b: [] for b in brokers}
@@ -199,14 +200,14 @@ def load_scenario(
     unknown = set(data) - known
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
 
-    brokers = tuple(data.get("brokers", ()))
+    brokers = tuple(_list_field(data, "brokers"))
     _require(len(brokers) > 0, "at least one broker required")
     _require(
         all(isinstance(b, str) and b for b in brokers), "broker ids must be strings"
     )
     _require(len(set(brokers)) == len(brokers), "duplicate broker id")
 
-    raw_edges = data.get("edges", [])
+    raw_edges = _list_field(data, "edges")
     _require(
         all(isinstance(e, list) and len(e) == 2 for e in raw_edges),
         "edges must be pairs",
@@ -215,7 +216,7 @@ def load_scenario(
     _check_tree(brokers, edges)
 
     clients = []
-    for raw in data.get("clients", []):
+    for raw in _list_field(data, "clients"):
         _require(
             isinstance(raw, dict) and "id" in raw and "broker" in raw,
             "clients need id and broker",
@@ -253,6 +254,8 @@ def load_scenario(
         mode = RoutingMode(mode_text)
     except ValueError:
         raise ScenarioError(f"unknown mode {mode_text!r}") from None
+    # Publishes are admitted under the declared mode's relation set.
+    admission_kb = kb if mode is RoutingMode.SEMANTIC else KnowledgeBase.empty()
 
     seed = data.get("seed")
     if seed is not None:
@@ -268,7 +271,7 @@ def load_scenario(
     script: list[ScriptAction] = []
     publish_count = 0
     advertised: dict[str, list[Advertisement]] = {c: [] for c in client_ids}
-    for i, raw in enumerate(data.get("script", [])):
+    for i, raw in enumerate(_list_field(data, "script")):
         where = f"script[{i}]"
         _require(
             isinstance(raw, dict)
@@ -287,9 +290,7 @@ def load_scenario(
         index = None
         if kind is MessageKind.PUBLISH:
             admitted = any(
-                determines(adv, payload)
-                if mode is RoutingMode.SYNTACTIC
-                else sem_determines(adv, payload, kb)
+                sem_determines(adv, payload, admission_kb)
                 for adv in advertised[client]
             )
             _require(

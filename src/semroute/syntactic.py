@@ -1,7 +1,9 @@
 """Syntax-level matching relations over events, subscriptions, advertisements.
 
-All relations here compare attribute names literally; the semantic layer
-builds on these with synonym and hierarchy awareness.
+All relations here compare attribute names literally.  The operator rules
+(`implies`, `jointly_satisfiable`) live only here: the semantic layer lifts
+the attributes through the hierarchy, calls these rules and adds only the
+cases the hierarchy creates.
 
 `covers` and `intersects` are decided predicate-by-predicate:
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Advertisement, Event, Pair, Predicate, RelOp, Subscription, Value
+from .model import Advertisement, Event, Pair, Predicate, RelOp, Subscription
 
 
 def match_pair(pair: Pair, pred: Predicate) -> bool:

@@ -74,6 +74,31 @@ class TestMatchCommand:
         assert code == 1
         assert "(price >= 10)  <-  no matching pair" in out
 
+    def test_mapping_body_without_input_exits_two(self, capsys, tmp_path):
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps({"mappings": [
+            {"name": "f", "inputs": ["a"], "output": "b", "body": {"kind": "rename"}}
+        ]}))
+        code, out, err = run_cli(
+            capsys, "match", "{(a, 1)}", "(b = 1)",
+            "--mode", "semantic", "--knowledge", str(kb),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "needs an input" in err
+
+    def test_mapping_overflow_exits_two(self, capsys, tmp_path):
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps({"mappings": [
+            {"name": "f", "inputs": ["a"], "output": "b",
+             "body": {"kind": "linear", "input": "a", "scale": 2**63 - 1, "offset": 0}}
+        ]}))
+        code, out, err = run_cli(
+            capsys, "match", "{(a, 2)}", "(b > 0)",
+            "--mode", "semantic", "--knowledge", str(kb),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: mapping 'f'") and "64-bit range" in err
+
 
 class TestCoversCommand:
     def test_syntactic_rows(self, capsys):

@@ -207,6 +207,12 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match="not a declared input"):
             load_knowledge(doc(mappings=[bad]))
 
+    @pytest.mark.parametrize("kind", ["rename", "years_since"])
+    def test_body_without_input(self, kind):
+        bad = {"name": "f", "inputs": ["a"], "output": "b", "body": {"kind": kind}}
+        with pytest.raises(KnowledgeError, match="needs an input"):
+            load_knowledge(doc(mappings=[bad]))
+
 
 class TestRootAndAncestorProperties:
     def test_root_term_idempotent_on_random_kbs(self):

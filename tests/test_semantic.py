@@ -29,6 +29,7 @@ from semroute.syntactic import covers, intersects, match_event
 
 from .bruteforce import (
     covering_counterexample,
+    sem_determines_oracle,
     sem_match_oracle,
     universe,
     witness_exists,
@@ -37,6 +38,7 @@ from .conftest import (
     make_forest_kb,
     random_advertisement,
     random_subscription,
+    random_value,
     relation_case,
 )
 
@@ -258,6 +260,20 @@ class TestSemMatchProperties:
             ) + len(kb.mappings)
             assert len(augment(event, kb).added) <= bound
 
+    def test_empty_kb_degenerates_to_syntactic(self):
+        kb = KnowledgeBase.empty()
+        for seed in range(100):
+            rng = random.Random(seed)
+            sub = random_subscription(rng, ["a", "b"], ["x", "y"])
+            for k in (1, 2, 3):
+                event = Event(
+                    tuple(
+                        Pair(rng.choice(["a", "b"]), random_value(rng, ["x", "y"]))
+                        for _ in range(k)
+                    )
+                )
+                assert sem_match(event, sub, kb) == match_event(event, sub)
+
 
 class TestSemCovers:
     def test_printed_material_covers_book(self, example_kb):
@@ -372,6 +388,33 @@ class TestSemDetermines:
             event = Event(pairs)
             if determines(adv, event):
                 assert sem_determines(adv, event, kb)
+
+    def test_empty_kb_degenerates_to_syntactic(self):
+        from semroute.syntactic import determines
+
+        kb = KnowledgeBase.empty()
+        for seed in range(100):
+            rng = random.Random(seed)
+            adv = random_advertisement(rng, ["a", "b"], ["x", "y"])
+            for k in (1, 2, 3):
+                event = Event(
+                    tuple(
+                        Pair(rng.choice(["a", "b"]), random_value(rng, ["x", "y"]))
+                        for _ in range(k)
+                    )
+                )
+                assert sem_determines(adv, event, kb) == determines(adv, event)
+
+    def test_oracle_agreement(self):
+        for seed in range(200):
+            rng, kb, attrs, terms = relation_case(seed + 13000)
+            adv = random_advertisement(rng, attrs, terms)
+            pool = universe(kb, adv)
+            for k in (1, 2):
+                event = Event(tuple(rng.choice(pool) for _ in range(k)))
+                assert sem_determines(adv, event, kb) == sem_determines_oracle(
+                    kb, event, adv
+                ), (seed, adv, event)
 
 
 class TestCoveringForwardingSafety:
