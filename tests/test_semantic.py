@@ -54,6 +54,15 @@ PROFESSOR_SUB = parse_subscription(
 )
 
 
+def _two_attribute_event(rng: random.Random, k: int) -> Event:
+    return Event(
+        tuple(
+            Pair(rng.choice(["a", "b"]), random_value(rng, ["x", "y"]))
+            for _ in range(k)
+        )
+    )
+
+
 class TestNormalization:
     def test_event_attributes_and_values(self, example_kb):
         assert normalize_event(parse_event('{(automobile, "red")}'), example_kb) == parse_event(
@@ -266,12 +275,7 @@ class TestSemMatchProperties:
             rng = random.Random(seed)
             sub = random_subscription(rng, ["a", "b"], ["x", "y"])
             for k in (1, 2, 3):
-                event = Event(
-                    tuple(
-                        Pair(rng.choice(["a", "b"]), random_value(rng, ["x", "y"]))
-                        for _ in range(k)
-                    )
-                )
+                event = _two_attribute_event(rng, k)
                 assert sem_match(event, sub, kb) == match_event(event, sub)
 
 
@@ -397,12 +401,7 @@ class TestSemDetermines:
             rng = random.Random(seed)
             adv = random_advertisement(rng, ["a", "b"], ["x", "y"])
             for k in (1, 2, 3):
-                event = Event(
-                    tuple(
-                        Pair(rng.choice(["a", "b"]), random_value(rng, ["x", "y"]))
-                        for _ in range(k)
-                    )
-                )
+                event = _two_attribute_event(rng, k)
                 assert sem_determines(adv, event, kb) == determines(adv, event)
 
     def test_oracle_agreement(self):
