@@ -189,7 +189,10 @@ def _cmd_simulate(args) -> int:
 
     report = verify(scenario) if args.verify else run(scenario)
     if args.report:
-        Path(args.report).write_text(report.to_json())
+        try:
+            Path(args.report).write_text(report.to_json())
+        except OSError as err:
+            raise CliError(f"cannot write report: {err}") from None
     sys.stdout.write(report.to_table())
     if not args.verify:
         return EXIT_TRUE

@@ -291,6 +291,13 @@ def _parse_body(raw: object, where: str) -> MappingBody:
     raise KnowledgeError(f"{where}: unknown mapping body kind {kind!r}")
 
 
+def _list_field(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise KnowledgeError(f"{key} must be a list")
+    return value
+
+
 def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     """Parse, validate, and freeze a knowledge document."""
     if isinstance(document, (bytes, str)):
@@ -309,7 +316,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         raise KnowledgeError(f"unknown keys: {sorted(unknown)}")
 
     groups = []
-    for i, raw in enumerate(data.get("synonyms", [])):
+    for i, raw in enumerate(_list_field(data, "synonyms")):
         where = f"synonyms[{i}]"
         if not isinstance(raw, dict) or "root" not in raw or "members" not in raw:
             raise KnowledgeError(f"{where}: need root and members")
@@ -325,14 +332,14 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         )
 
     edges = []
-    for i, raw in enumerate(data.get("hierarchy", [])):
+    for i, raw in enumerate(_list_field(data, "hierarchy")):
         where = f"hierarchy[{i}]"
         if not isinstance(raw, dict) or "child" not in raw or "parent" not in raw:
             raise KnowledgeError(f"{where}: need child and parent")
         edges.append((str(raw["child"]).lower(), str(raw["parent"]).lower()))
 
     mappings = []
-    for i, raw in enumerate(data.get("mappings", [])):
+    for i, raw in enumerate(_list_field(data, "mappings")):
         where = f"mappings[{i}]"
         if not isinstance(raw, dict):
             raise KnowledgeError(f"{where}: must be an object")

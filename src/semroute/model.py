@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, TypeVar, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -40,12 +40,46 @@ class ParseError(ValueError):
         self.position = position
 
 
+_T = TypeVar("_T")
+
+
+def _hash_once(cls: type[_T]) -> type[_T]:
+    """Keep the dataclass-generated hash after its first computation.
+
+    Entities are immutable and serve as memo keys again and again; the
+    generated hash rehashes every nested entity on each call.  The kept
+    value is the generated one, over compared fields only (so never `id`),
+    computed on first use rather than at construction, because most parsed
+    entities are never hashed.  It is left out of the pickled state: string
+    hashes differ between interpreter processes.
+    """
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 class ValueKind(enum.Enum):
     STRING = "string"
     INT = "int"
     BOOL = "bool"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Value:
     """A string, integer, or boolean attribute value.
@@ -118,12 +152,14 @@ class RelOp(enum.Enum):
         return a >= b
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pair:
     attribute: str
     value: Value
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Predicate:
     attribute: str
@@ -131,6 +167,7 @@ class Predicate:
     value: Value
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Event:
     """An ordered list of attribute-value pairs.
@@ -145,6 +182,7 @@ class Event:
         return iter(self.pairs)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Subscription:
     """A conjunction of predicates; the id is an opaque routing token."""
@@ -153,6 +191,7 @@ class Subscription:
     id: str = field(default="", compare=False)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Advertisement:
     """A disjunctive predicate set announcing future publications."""

@@ -181,27 +181,28 @@ def handle_publish(
     """Notify interested local clients and forward to interested neighbors.
 
     At most one copy leaves per link however many subscriptions match there.
+    One walk over the table marks each link at its first matching entry, so
+    the entries of a link are tested in table order until one matches.
+    Every client is a candidate, the publisher too; every neighbor except
+    the sender is.
     """
     state._check_link(frm)
-    out = []
-    for c in state.clients:
-        if any(
-            e.origin == c and state._matches(event, e.sub)
-            for e in state.subscriptions
-        ):
-            out.append(
-                Message(MessageKind.NOTIFY, event, frm=state.id, to=c, index=index)
-            )
-    for n in state.neighbors:
-        if n == frm:
-            continue
-        if any(
-            e.origin == n and state._matches(event, e.sub)
-            for e in state.subscriptions
-        ):
-            out.append(
-                Message(MessageKind.PUBLISH, event, frm=state.id, to=n, index=index)
-            )
+    pending = {*state.clients, *(n for n in state.neighbors if n != frm)}
+    matched = set()
+    for e in state.subscriptions:
+        if e.origin in pending and state._matches(event, e.sub):
+            pending.discard(e.origin)
+            matched.add(e.origin)
+    out = [
+        Message(MessageKind.NOTIFY, event, frm=state.id, to=c, index=index)
+        for c in state.clients
+        if c in matched
+    ]
+    out += [
+        Message(MessageKind.PUBLISH, event, frm=state.id, to=n, index=index)
+        for n in state.neighbors
+        if n in matched
+    ]
     return state, out
 
 

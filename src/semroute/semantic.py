@@ -21,6 +21,12 @@ them can therefore under-forward mapping-dependent subscriptions (surfaced
 by the simulator as a distinct verdict).  Both relations are conservative:
 a true `sem_covers` always means event-set inclusion, and a false
 `sem_intersects` always means no event can satisfy both sides.
+
+Each event is augmented once and each advertisement normalized once per
+knowledge base.  Both are kept keyed by attribute, so a subscription
+predicate meets only the event values of its own attribute, and an
+advertisement is searched only at the attributes the hierarchy relates to
+the other side's.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, TypeVar
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -39,7 +46,7 @@ from .model import (
     Subscription,
     Value,
 )
-from .syntactic import implies, jointly_satisfiable, match_pair
+from .syntactic import implies, jointly_satisfiable
 
 
 class Provenance(enum.Enum):
@@ -136,9 +143,28 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     return AugmentedEvent(event, tuple(added))
 
 
+_T = TypeVar("_T")
+
+
+def _by_attribute(items: Iterable[tuple[str, _T]]) -> dict[str, list[_T]]:
+    grouped: dict[str, list[_T]] = {}
+    for attribute, item in items:
+        grouped.setdefault(attribute, []).append(item)
+    return grouped
+
+
 @lru_cache(maxsize=None)
-def _augmented(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
-    return augment(normalize_event(event, kb), kb)
+def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
+    """The augmented event's values, keyed by attribute."""
+    pairs = augment(normalize_event(event, kb), kb).all_pairs()
+    return _by_attribute((p.attribute, p.value) for p in pairs)
+
+
+@lru_cache(maxsize=None)
+def _advertised(adv: Advertisement, kb: KnowledgeBase) -> dict[str, list[Predicate]]:
+    """The normalized advertisement's predicates, keyed by attribute."""
+    preds = normalize_advertisement(adv, kb).predicates
+    return _by_attribute((p.attribute, p) for p in preds)
 
 
 @lru_cache(maxsize=None)
@@ -149,9 +175,12 @@ def _normalized_sub(sub: Subscription, kb: KnowledgeBase) -> Subscription:
 @lru_cache(maxsize=None)
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
-    pairs = _augmented(event, kb).all_pairs()
+    values = _augmented(event, kb)
     return all(
-        any(match_pair(pair, pred) for pair in pairs)
+        any(
+            pred.op.holds(value, pred.value)
+            for value in values.get(pred.attribute, ())
+        )
         for pred in _normalized_sub(sub, kb).predicates
     )
 
@@ -192,11 +221,14 @@ def _value_descends(v: Value, target: Value, kb: KnowledgeBase) -> bool:
 def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
     under hierarchy-lifted matching."""
-    n_adv = normalize_advertisement(adv, kb)
-    n_event = normalize_event(event, kb)
+    advertised = _advertised(adv, kb)
     return all(
-        any(pair_sem_matches(pair, pred, kb) for pred in n_adv.predicates)
-        for pair in n_event.pairs
+        any(
+            pair_sem_matches(pair, pred, kb)
+            for attribute in (pair.attribute, *kb.ancestors(pair.attribute))
+            for pred in advertised.get(attribute, ())
+        )
+        for pair in normalize_event(event, kb).pairs
     )
 
 
@@ -236,7 +268,9 @@ def _sem_jointly_satisfiable(sp: Predicate, ap: Predicate, kb: KnowledgeBase) ->
 
     The pair's attribute must descend to both predicate attributes, which in
     a forest means the attributes are comparable, with the deeper term the
-    witness attribute.  Every syntactic witness value is a semantic one;
+    witness attribute; the caller pairs only such predicates, as callers of
+    `jointly_satisfiable` pair same-attribute ones.  Every syntactic witness
+    value is a semantic one;
     the hierarchy adds witnesses only for string equality:
 
       - = against =: the values may also be hierarchy-comparable (the
@@ -246,8 +280,6 @@ def _sem_jointly_satisfiable(sp: Predicate, ap: Predicate, kb: KnowledgeBase) ->
         carries a differing generalization) or a strict descendant (the
         witness, whose chain contains the value and itself differs from it).
     """
-    if not kb.comparable(sp.attribute, ap.attribute):
-        return False
     if jointly_satisfiable(sp, ap):
         return True
     p, q = (sp, ap) if sp.op is RelOp.EQ else (ap, sp)
@@ -268,9 +300,13 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     witness pair per subscription predicate, each of which must also be
     admitted by some advertisement predicate.
     """
-    n_adv = normalize_advertisement(adv, kb)
-    n_sub = _normalized_sub(sub, kb)
+    advertised = _advertised(adv, kb)
     return all(
-        any(_sem_jointly_satisfiable(sp, ap, kb) for ap in n_adv.predicates)
-        for sp in n_sub.predicates
+        any(
+            _sem_jointly_satisfiable(sp, ap, kb)
+            for attribute, preds in advertised.items()
+            if kb.comparable(sp.attribute, attribute)
+            for ap in preds
+        )
+        for sp in _normalized_sub(sub, kb).predicates
     )

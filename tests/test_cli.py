@@ -99,6 +99,17 @@ class TestMatchCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: mapping 'f'") and "64-bit range" in err
 
+    @pytest.mark.parametrize("key", ["synonyms", "hierarchy", "mappings"])
+    def test_knowledge_section_not_a_list_exits_two(self, capsys, tmp_path, key):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps({key: 5}))
+        code, out, err = run_cli(
+            capsys, "match", ENCYCLOPEDIA_EVENT, BOOK_SUB,
+            "--mode", "semantic", "--knowledge", str(kb_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} must be a list\n"
+
 
 class TestCoversCommand:
     def test_syntactic_rows(self, capsys):
@@ -258,6 +269,16 @@ class TestSimulateCommand:
         doc = json.loads(target.read_text())
         assert doc["deliveries"] == [["reader", 0]]
         assert doc["mode"] == "semantic"
+
+    def test_report_into_missing_directory_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "simulate", str(SCENARIOS / "gap.json"), "--report", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write report:")
+        assert not target.parent.exists()
 
 
 class TestArgumentHandling:

@@ -213,6 +213,12 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match="needs an input"):
             load_knowledge(doc(mappings=[bad]))
 
+    @pytest.mark.parametrize("key", ["synonyms", "hierarchy", "mappings"])
+    @pytest.mark.parametrize("value", ["ab", 5, None, {}])
+    def test_sections_must_be_lists(self, key, value):
+        with pytest.raises(KnowledgeError, match=f"{key} must be a list"):
+            load_knowledge(doc(**{key: value}))
+
 
 class TestRootAndAncestorProperties:
     def test_root_term_idempotent_on_random_kbs(self):

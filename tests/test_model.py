@@ -1,7 +1,14 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semroute
 from semroute.model import (
     INT_MAX,
     INT_MIN,
@@ -216,3 +223,60 @@ class TestRoundTrip:
     def test_render_idempotent(self, sub):
         once = render(sub)
         assert render(parse_subscription(once)) == once
+
+
+ENTITIES = {
+    "value": lambda: Value.string("Book"),
+    "pair": lambda: Pair("a", Value.integer(3)),
+    "predicate": lambda: Predicate("a", RelOp.LE, Value.integer(3)),
+    "event": lambda: parse_event('{(a, 1), (b, "x"), (c, true)}'),
+    "subscription": lambda: parse_subscription('(a = 1) AND (b != "x")'),
+    "advertisement": lambda: parse_advertisement('(a >= 1) AND (b = "x")'),
+}
+
+
+class TestKeptHash:
+    @pytest.mark.parametrize("make", ENTITIES.values(), ids=list(ENTITIES))
+    def test_equal_entities_built_apart_hash_equal(self, make):
+        first, second = make(), make()
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert hash(first) == hash(first)
+        assert hash(second) == hash(second)
+
+    @pytest.mark.parametrize("kind", [Subscription, Advertisement])
+    def test_id_stays_out_of_the_hash(self, kind):
+        preds = (Predicate("a", RelOp.EQ, Value.integer(1)),)
+        first, second = kind(preds, id="one"), kind(preds, id="two")
+        assert hash(first) == hash(first)
+        assert hash(first) == hash(second)
+
+    @settings(max_examples=50)
+    @given(events(), subscriptions(), advertisements())
+    def test_parsed_back_entities_hash_equal(self, event, sub, adv):
+        for entity, parse in (
+            (event, parse_event),
+            (sub, parse_subscription),
+            (adv, parse_advertisement),
+        ):
+            assert hash(parse(render(entity))) == hash(entity)
+
+    def test_hash_is_not_carried_into_another_process(self):
+        # String hashes depend on the interpreter's hash seed, so a hash kept
+        # by one process is wrong in another.
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        src = str(Path(semroute.__file__).resolve().parent.parent)
+        script = (
+            "import pickle, sys; from semroute.model import parse_event; "
+            "event = parse_event('{(a, \"x\"), (b, 2)}'); hash(event); "
+            "sys.stdout.buffer.write(pickle.dumps(event))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True,
+            check=True,
+        )
+        event = pickle.loads(done.stdout)
+        assert event == parse_event('{(a, "x"), (b, 2)}')
+        assert hash(event) == hash(parse_event('{(a, "x"), (b, 2)}'))

@@ -229,7 +229,43 @@ class TestSemMatch:
         assert not sem_match(event, parse_subscription("(price >= 16)"), example_kb)
 
 
+def _synonym_case(seed: int):
+    """A random forest with synonym groups and one rename mapping, plus
+    attribute and term pools that include the synonym spellings."""
+    rng = random.Random(seed)
+    forest = make_forest_kb(rng, rng.randint(4, 12), with_synonyms=True)
+    kb = KnowledgeBase(
+        forest.synonyms,
+        forest.hierarchy,
+        (MappingFunction("f", ("price",), None, "cost", Rename("price")),),
+        forest.reference_year,
+    )
+    roots = sorted({t for edge in kb.hierarchy for t in edge} | {g.root for g in kb.synonyms})
+    terms = roots + sorted(m for g in kb.synonyms for m in g.members)
+    attrs = rng.sample(terms, k=min(3, len(terms))) + ["price", "cost"]
+    return rng, kb, attrs, terms
+
+
+def _random_event(rng: random.Random, attrs: list[str], terms: list[str]) -> Event:
+    return Event(
+        tuple(
+            Pair(rng.choice(attrs), random_value(rng, terms))
+            for _ in range(rng.randint(1, 4))
+        )
+    )
+
+
 class TestSemMatchProperties:
+    def test_equals_syntactic_match_of_augmented_event(self):
+        for seed in range(300):
+            rng, kb, attrs, terms = _synonym_case(seed + 15000)
+            sub = random_subscription(rng, attrs, terms)
+            event = _random_event(rng, attrs, terms)
+            augmented = Event(augment(normalize_event(event, kb), kb).all_pairs())
+            assert sem_match(event, sub, kb) == match_event(
+                augmented, normalize_subscription(sub, kb)
+            ), (seed, event, sub)
+
     def test_syntactic_match_implies_semantic(self):
         for seed in range(150):
             rng, kb, attrs, terms = relation_case(seed)
@@ -370,6 +406,22 @@ class TestSemIntersects:
             assert sem_intersects(adv, sub, kb) == witness_exists(
                 adv, sub, pool, kb=kb
             ), (seed, adv, sub)
+
+
+class TestAdvertisementSpelling:
+    def test_synonyms_in_the_advertisement_change_no_verdict(self):
+        respelled = 0
+        for seed in range(300):
+            rng, kb, attrs, terms = _synonym_case(seed + 16000)
+            adv = random_advertisement(rng, attrs, terms)
+            normal = normalize_advertisement(adv, kb)
+            respelled += normal != adv
+            sub = random_subscription(rng, attrs, terms)
+            event = _random_event(rng, attrs, terms)
+            case = (seed, adv, sub, event)
+            assert sem_intersects(adv, sub, kb) == sem_intersects(normal, sub, kb), case
+            assert sem_determines(adv, event, kb) == sem_determines(normal, event, kb), case
+        assert respelled > 50
 
 
 class TestSemDetermines:
