@@ -112,9 +112,10 @@ class KnowledgeBase:
         self.reference_year = int(reference_year)
         self._root: dict[str, str] = {}
         self._parent: dict[str, str] = {}
+        self._ancestors: dict[str, tuple[str, ...]] = {}
         self._validate()
-        self._ancestor_cache: dict[str, tuple[str, ...]] = {}
         self._parents_with_children = frozenset(self._parent.values())
+        self._bare: Optional[KnowledgeBase] = None
 
     def _validate(self) -> None:
         for group in self.synonyms:
@@ -140,12 +141,15 @@ class KnowledgeBase:
             self._parent[child] = parent
         for start in self._parent:
             seen = {start}
+            chain = []
             node = start
             while node in self._parent:
                 node = self._parent[node]
                 if node in seen:
                     raise KnowledgeError(f"hierarchy cycle through {node!r}")
                 seen.add(node)
+                chain.append(node)
+            self._ancestors[start] = tuple(chain)
 
         for f in self.mappings:
             if not f.inputs:
@@ -196,17 +200,7 @@ class KnowledgeBase:
 
     def ancestors(self, term: str) -> tuple[str, ...]:
         """Strict ancestors of a root-form term, nearest first."""
-        cached = self._ancestor_cache.get(term)
-        if cached is not None:
-            return cached
-        chain = []
-        node = term
-        while node in self._parent:
-            node = self._parent[node]
-            chain.append(node)
-        result = tuple(chain)
-        self._ancestor_cache[term] = result
-        return result
+        return self._ancestors.get(term, ())
 
     def is_descendant_or_equal(self, t1: str, t2: str) -> bool:
         """True iff t1 equals t2 or t2 is a strict ancestor of t1."""
@@ -223,11 +217,14 @@ class KnowledgeBase:
         return bool(self.ancestors(term)) or term in self._parents_with_children
 
     def without_mappings(self) -> "KnowledgeBase":
+        """The same knowledge base minus its mappings, built once."""
         if not self.mappings:
             return self
-        return KnowledgeBase(
-            self.synonyms, self.hierarchy, (), self.reference_year
-        )
+        if self._bare is None:
+            self._bare = KnowledgeBase(
+                self.synonyms, self.hierarchy, (), self.reference_year
+            )
+        return self._bare
 
 
 def _json_value(raw: object, where: str) -> Value:

@@ -8,15 +8,16 @@ arrived on that link intersects it, and no previously forwarded subscription
 on that link already covers it.  Events travel the reverse subscription
 paths and reach clients as NOTIFY messages.
 
-Handlers are pure transitions returning (new state, outgoing messages), so a
-run can be replayed deterministically and states snapshotted freely.  The
-relation set (syntactic or semantic) is fixed per broker by `RoutingMode`.
+Brokers update their tables in place; each handler returns the broker it
+was given with the outgoing messages.  Subscribe and publish each walk a table
+once, in insertion order, so a run replays deterministically.  The relation
+set (syntactic or semantic) is fixed per broker by `RoutingMode`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from .knowledge import KnowledgeBase
@@ -68,15 +69,15 @@ class AdvertisementEntry:
     origin: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class BrokerState:
     id: str
     neighbors: tuple[str, ...]
     clients: tuple[str, ...]
     kb: KnowledgeBase
     mode: RoutingMode
-    subscriptions: tuple[SubscriptionEntry, ...] = ()
-    advertisements: tuple[AdvertisementEntry, ...] = ()
+    subscriptions: list[SubscriptionEntry] = field(default_factory=list)
+    advertisements: list[AdvertisementEntry] = field(default_factory=list)
     suppressed: int = 0
     gated: int = 0
     # Optimization switches; disabling either must never change deliveries,
@@ -116,16 +117,13 @@ def handle_advertise(
         e.adv.id == adv.id and e.origin == frm for e in state.advertisements
     ):
         return state, []
-    new_state = replace(
-        state,
-        advertisements=state.advertisements + (AdvertisementEntry(adv, frm),),
-    )
+    state.advertisements.append(AdvertisementEntry(adv, frm))
     out = [
         Message(MessageKind.ADVERTISE, adv, frm=state.id, to=n)
         for n in state.neighbors
         if n != frm
     ]
-    return new_state, out
+    return state, out
 
 
 def handle_subscribe(
@@ -133,46 +131,39 @@ def handle_subscribe(
 ) -> tuple[BrokerState, list[Message]]:
     """Record the subscription and forward it toward intersecting advertisers.
 
-    A neighbor receives the subscription only when an advertisement that
-    arrived from that neighbor intersects it (gating) and no subscription
-    previously forwarded to that neighbor covers it (suppression).
+    A neighbor other than the sender receives the subscription only when an
+    advertisement that arrived from that neighbor intersects it (gating) and
+    no subscription previously forwarded to that neighbor covers it
+    (suppression).  One walk over the advertisements opens each link at its
+    first intersecting entry; one walk over the subscriptions then tests an
+    entry only while it was forwarded to a link still open, and a covering
+    entry suppresses all of those links.
     """
     state._check_link(frm)
     if any(
         e.sub.id == sub.id and e.origin == frm for e in state.subscriptions
     ):
         return state, []
-    forwarded = []
-    suppressed = state.suppressed
-    gated = state.gated
-    for n in state.neighbors:
-        if n == frm:
-            continue
-        if state.advertisement_gating and not any(
-            e.origin == n and state._intersects(e.adv, sub)
-            for e in state.advertisements
-        ):
-            gated += 1
-            continue
-        if state.covering_suppression and any(
-            n in e.forwarded_to and state._covers(e.sub, sub)
-            for e in state.subscriptions
-        ):
-            suppressed += 1
-            continue
-        forwarded.append(n)
-    entry = SubscriptionEntry(sub, frm, frozenset(forwarded))
-    new_state = replace(
-        state,
-        subscriptions=state.subscriptions + (entry,),
-        suppressed=suppressed,
-        gated=gated,
-    )
+    live = {n for n in state.neighbors if n != frm}
+    if state.advertisement_gating:
+        closed, live = live, set()
+        for e in state.advertisements:
+            if e.origin in closed and state._intersects(e.adv, sub):
+                closed.discard(e.origin)
+                live.add(e.origin)
+        state.gated += len(closed)
+    if state.covering_suppression:
+        for e in state.subscriptions:
+            if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
+                state.suppressed += len(live & e.forwarded_to)
+                live -= e.forwarded_to
+    forwarded = [n for n in state.neighbors if n in live]
+    state.subscriptions.append(SubscriptionEntry(sub, frm, frozenset(forwarded)))
     out = [
         Message(MessageKind.SUBSCRIBE, sub, frm=state.id, to=n)
         for n in forwarded
     ]
-    return new_state, out
+    return state, out
 
 
 def handle_publish(

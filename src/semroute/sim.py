@@ -367,8 +367,7 @@ def run(
                 if msg.kind is MessageKind.NOTIFY:
                     deliveries.add((msg.to, msg.index))
                     continue
-                state, out = handle_message(states[msg.to], msg)
-                states[msg.to] = state
+                _, out = handle_message(states[msg.to], msg)
                 for o in out:
                     counts[o.kind.value][f"{o.frm}->{o.to}"] += 1
                 next_frontier.extend(out)

@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import semroute
 from semroute.cli import main
 
 from .conftest import ROOT, SCENARIOS
@@ -301,11 +304,19 @@ class TestArgumentHandling:
         pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
         module, _, func = pyproject["project"]["scripts"]["semroute"].partition(":")
         script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        # The child imports the same semroute as this process, whether it
+        # came from an install or from the source tree.
+        source = str(Path(semroute.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, inherited)))
+        )
 
         result = subprocess.run(
             [sys.executable, "-c", script, "covers", "(a = 1)", "(a = 1)"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout == "covers\n"

@@ -1,5 +1,6 @@
 import pytest
 
+import semroute.routing
 from semroute.knowledge import KnowledgeBase
 from semroute.model import parse_advertisement, parse_event, parse_subscription
 from semroute.routing import (
@@ -158,6 +159,54 @@ class TestSubscribeSuppression:
         state2, out = handle_subscribe(state, SUB_WIDE, frm="c1")
         assert state2 is state
         assert out == []
+
+
+class TestSubscribeOneWalk:
+    """Each stored entry is tested for covering at most once per subscribe,
+    and a covering entry suppresses every open link it was forwarded to."""
+
+    def two_advertisers(self):
+        state, _ = handle_advertise(broker(), ADV, frm="b1")
+        state, _ = handle_advertise(state, ADV, frm="b3")
+        return state
+
+    def test_covering_entry_suppresses_both_links(self):
+        state = self.two_advertisers()
+        state, first = handle_subscribe(state, SUB_WIDE, frm="c1")
+        assert [m.to for m in first] == ["b1", "b3"]
+        state, second = handle_subscribe(state, SUB_NARROW, frm="c1")
+        assert second == []
+        assert state.suppressed == 2
+        assert state.gated == 0
+        assert state.subscriptions[1].forwarded_to == frozenset()
+
+    def test_gated_and_covered_links_counted_apart(self):
+        state, _ = handle_advertise(broker(), ADV, frm="b1")
+        state, first = handle_subscribe(state, SUB_WIDE, frm="b3")
+        assert [m.to for m in first] == ["b1"]
+        state, second = handle_subscribe(state, SUB_NARROW, frm="c1")
+        assert second == []
+        assert state.gated == 1
+        assert state.suppressed == 1
+
+    @pytest.mark.parametrize(
+        "later",
+        [SUB_NARROW, parse_subscription('(product = "computer")')],
+        ids=["covered", "not-covered"],
+    )
+    def test_entry_on_two_links_tested_once(self, monkeypatch, later):
+        state = self.two_advertisers()
+        state, _ = handle_subscribe(state, SUB_WIDE, frm="c1")
+        calls = []
+        real_covers = semroute.routing.covers
+
+        def counting(s1, s2):
+            calls.append((s1, s2))
+            return real_covers(s1, s2)
+
+        monkeypatch.setattr(semroute.routing, "covers", counting)
+        handle_subscribe(state, later, frm="c1")
+        assert calls == [(SUB_WIDE, later)]
 
 
 class TestPublish:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from semroute.routing import RoutingMode
+from semroute.semantic import sem_match
 from semroute.sim import (
     Scenario,
     ScenarioError,
@@ -247,6 +248,18 @@ class TestProfessorScenarios:
         assert report.missing == (("profx", 0),)
         assert report.spurious == ()
         assert report.deliveries == ()
+
+    def test_repeated_verify_adds_no_match_cache_entries(self, scenario_dir):
+        # The mapping-free knowledge base that grades the gap is built once,
+        # so a second verify finds every sem_match key already cached.
+        scenario = load_scenario(
+            (scenario_dir / "professor_remote.json").read_bytes(),
+            base_dir=scenario_dir,
+        )
+        verify(scenario)
+        entries = sem_match.cache_info().currsize
+        assert verify(scenario).verdict == Verdict.MAPPING_GAP.value
+        assert sem_match.cache_info().currsize == entries
 
 
 class TestDeliverySemantics:
