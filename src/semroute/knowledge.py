@@ -262,6 +262,18 @@ def _parse_guard(raw: object, where: str) -> Predicate:
     return Predicate(attr.lower(), op, val)
 
 
+def _is_int(raw: object) -> bool:
+    """True for a JSON integer; JSON booleans are not integers here."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _term(term: object, where: str, key: str) -> str:
+    """The lowercased term, which must be a non-empty string."""
+    if not isinstance(term, str) or not term:
+        raise KnowledgeError(f"{where}: {key} must be a non-empty string")
+    return term.lower()
+
+
 def _parse_body(raw: object, where: str) -> MappingBody:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise KnowledgeError(f"{where}: body must be an object with a kind")
@@ -269,22 +281,19 @@ def _parse_body(raw: object, where: str) -> MappingBody:
     if kind in ("rename", "years_since") and "input" not in raw:
         raise KnowledgeError(f"{where}: {kind} body needs an input")
     if kind == "rename":
-        return Rename(str(raw["input"]).lower())
+        return Rename(_term(raw["input"], where, "input"))
     if kind == "const":
         if "value" not in raw:
             raise KnowledgeError(f"{where}: const body needs a value")
         return Const(_json_value(raw["value"], where))
     if kind == "linear":
-        try:
-            return Linear(
-                str(raw["input"]).lower(), int(raw["scale"]), int(raw["offset"])
-            )
-        except (KeyError, TypeError, ValueError):
-            raise KnowledgeError(
-                f"{where}: linear body needs input/scale/offset"
-            ) from None
+        if not {"input", "scale", "offset"} <= raw.keys():
+            raise KnowledgeError(f"{where}: linear body needs input/scale/offset")
+        if not (_is_int(raw["scale"]) and _is_int(raw["offset"])):
+            raise KnowledgeError(f"{where}: linear scale and offset must be integers")
+        return Linear(_term(raw["input"], where, "input"), raw["scale"], raw["offset"])
     if kind == "years_since":
-        return YearsSince(str(raw["input"]).lower())
+        return YearsSince(_term(raw["input"], where, "input"))
     raise KnowledgeError(f"{where}: unknown mapping body kind {kind!r}")
 
 
@@ -324,16 +333,17 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
             raise KnowledgeError(f"{where}: members must be non-empty strings")
         if len(set(members)) != len(members):
             raise KnowledgeError(f"{where}: duplicate member")
-        groups.append(
-            SynonymGroup(str(raw["root"]).lower(), frozenset(m.lower() for m in members))
-        )
+        root = _term(raw["root"], where, "root")
+        groups.append(SynonymGroup(root, frozenset(m.lower() for m in members)))
 
     edges = []
     for i, raw in enumerate(_list_field(data, "hierarchy")):
         where = f"hierarchy[{i}]"
         if not isinstance(raw, dict) or "child" not in raw or "parent" not in raw:
             raise KnowledgeError(f"{where}: need child and parent")
-        edges.append((str(raw["child"]).lower(), str(raw["parent"]).lower()))
+        child = _term(raw["child"], where, "child")
+        parent = _term(raw["parent"], where, "parent")
+        edges.append((child, parent))
 
     mappings = []
     for i, raw in enumerate(_list_field(data, "mappings")):
@@ -357,13 +367,13 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
                 name=str(name),
                 inputs=tuple(a.lower() for a in inputs),
                 guard=guard,
-                output=str(output).lower(),
+                output=_term(output, where, "output"),
                 body=_parse_body(body_raw, where),
             )
         )
 
     reference_year = data.get("reference_year", 0)
-    if isinstance(reference_year, bool) or not isinstance(reference_year, int):
+    if not _is_int(reference_year):
         raise KnowledgeError("reference_year must be an integer")
 
     return KnowledgeBase(groups, edges, mappings, reference_year)

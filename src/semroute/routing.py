@@ -1,17 +1,19 @@
 """Broker state machine for an acyclic publish/subscribe overlay.
 
 Each broker knows its neighbor brokers and locally attached clients, both
-addressed by link id.  Advertisements flood the tree and are remembered with
-the link they arrived on.  Subscriptions are forwarded toward advertisers
-only: a subscription travels over a link when some advertisement that
-arrived on that link intersects it, and no previously forwarded subscription
-on that link already covers it.  Events travel the reverse subscription
-paths and reach clients as NOTIFY messages.
+addressed by link id.  Advertisements flood the tree.  Subscriptions are
+forwarded toward advertisers only: a subscription travels over a link when
+some advertisement that arrived on that link intersects it, and no
+previously forwarded subscription on that link already covers it.  Events
+travel the reverse subscription paths and reach clients as NOTIFY messages.
 
-Brokers update their tables in place; each handler returns the broker it
-was given with the outgoing messages.  Subscribe and publish each walk a table
-once, in insertion order, so a run replays deterministically.  The relation
-set (syntactic or semantic) is fixed per broker by `RoutingMode`.
+Each broker keeps one table of advertisements and one of subscriptions,
+both keyed by (id, arrival link), so a repeated arrival is found by one
+lookup and ignored.  Brokers update their tables in place; each handler
+returns the broker it was given with the outgoing messages.  Subscribe and
+publish each walk a table once, in insertion order, so a run replays
+deterministically.  The relation set (syntactic or semantic) is fixed per
+broker by `RoutingMode`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class MessageKind(enum.Enum):
 
 
 Payload = Union[Advertisement, Subscription, Event]
+# A broker table key: (payload id, arrival link).
+Key = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,7 @@ class Message:
 @dataclass(frozen=True)
 class SubscriptionEntry:
     sub: Subscription
-    origin: str
     forwarded_to: frozenset[str]
-
-
-@dataclass(frozen=True)
-class AdvertisementEntry:
-    adv: Advertisement
-    origin: str
 
 
 @dataclass
@@ -76,8 +73,8 @@ class BrokerState:
     clients: tuple[str, ...]
     kb: KnowledgeBase
     mode: RoutingMode
-    subscriptions: list[SubscriptionEntry] = field(default_factory=list)
-    advertisements: list[AdvertisementEntry] = field(default_factory=list)
+    subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
+    advertisements: dict[Key, Advertisement] = field(default_factory=dict)
     suppressed: int = 0
     gated: int = 0
     # Optimization switches; disabling either must never change deliveries,
@@ -113,11 +110,9 @@ def handle_advertise(
 ) -> tuple[BrokerState, list[Message]]:
     """Record the advertisement and flood it to the other neighbors."""
     state._check_link(frm)
-    if any(
-        e.adv.id == adv.id and e.origin == frm for e in state.advertisements
-    ):
+    if (adv.id, frm) in state.advertisements:
         return state, []
-    state.advertisements.append(AdvertisementEntry(adv, frm))
+    state.advertisements[adv.id, frm] = adv
     out = [
         Message(MessageKind.ADVERTISE, adv, frm=state.id, to=n)
         for n in state.neighbors
@@ -140,25 +135,24 @@ def handle_subscribe(
     entry suppresses all of those links.
     """
     state._check_link(frm)
-    if any(
-        e.sub.id == sub.id and e.origin == frm for e in state.subscriptions
-    ):
+    if (sub.id, frm) in state.subscriptions:
         return state, []
     live = {n for n in state.neighbors if n != frm}
     if state.advertisement_gating:
         closed, live = live, set()
-        for e in state.advertisements:
-            if e.origin in closed and state._intersects(e.adv, sub):
-                closed.discard(e.origin)
-                live.add(e.origin)
+        for (_, origin), adv in state.advertisements.items():
+            if origin in closed and state._intersects(adv, sub):
+                closed.discard(origin)
+                live.add(origin)
         state.gated += len(closed)
     if state.covering_suppression:
-        for e in state.subscriptions:
+        for e in state.subscriptions.values():
             if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
                 state.suppressed += len(live & e.forwarded_to)
                 live -= e.forwarded_to
     forwarded = [n for n in state.neighbors if n in live]
-    state.subscriptions.append(SubscriptionEntry(sub, frm, frozenset(forwarded)))
+    entry = SubscriptionEntry(sub, frozenset(forwarded))
+    state.subscriptions[sub.id, frm] = entry
     out = [
         Message(MessageKind.SUBSCRIBE, sub, frm=state.id, to=n)
         for n in forwarded
@@ -180,10 +174,10 @@ def handle_publish(
     state._check_link(frm)
     pending = {*state.clients, *(n for n in state.neighbors if n != frm)}
     matched = set()
-    for e in state.subscriptions:
-        if e.origin in pending and state._matches(event, e.sub):
-            pending.discard(e.origin)
-            matched.add(e.origin)
+    for (_, origin), e in state.subscriptions.items():
+        if origin in pending and state._matches(event, e.sub):
+            pending.discard(origin)
+            matched.add(origin)
     out = [
         Message(MessageKind.NOTIFY, event, frm=state.id, to=c, index=index)
         for c in state.clients

@@ -231,23 +231,21 @@ def load_scenario(
     knowledge = data.get("knowledge")
     if knowledge is None:
         kb = KnowledgeBase.empty()
-    elif isinstance(knowledge, str):
-        path = Path(knowledge)
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
-        try:
-            kb = load_knowledge(path.read_bytes())
-        except OSError as err:
-            raise ScenarioError(f"cannot read knowledge file: {err}") from None
-        except KnowledgeError as err:
-            raise ScenarioError(f"bad knowledge document: {err}") from None
-    elif isinstance(knowledge, dict):
+    else:
+        if isinstance(knowledge, str):
+            path = Path(knowledge)
+            if not path.is_absolute() and base_dir is not None:
+                path = base_dir / path
+            try:
+                knowledge = path.read_bytes()
+            except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+                raise ScenarioError(f"cannot read knowledge file: {err}") from None
+        elif not isinstance(knowledge, dict):
+            raise ScenarioError("knowledge must be a path or an object")
         try:
             kb = load_knowledge(knowledge)
         except KnowledgeError as err:
             raise ScenarioError(f"bad knowledge document: {err}") from None
-    else:
-        raise ScenarioError("knowledge must be a path or an object")
 
     mode_text = data.get("mode", "syntactic")
     try:
@@ -279,7 +277,10 @@ def load_scenario(
             f"{where}: need action, client, payload",
         )
         action = raw["action"]
-        _require(action in parsers, f"{where}: unknown action {action!r}")
+        _require(
+            isinstance(action, str) and action in parsers,
+            f"{where}: unknown action {action!r}",
+        )
         client = str(raw["client"])
         _require(client in advertised, f"{where}: unknown client {client!r}")
         kind, parser = parsers[action]

@@ -113,6 +113,27 @@ class TestMatchCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {key} must be a list\n"
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"synonyms": [{"root": "", "members": ["a"]}]},
+            {"hierarchy": [{"child": "b", "parent": ""}]},
+            {"mappings": [{"name": "f", "inputs": ["a"], "output": "b",
+                           "body": {"kind": "linear", "input": "a",
+                                    "scale": 1.5, "offset": "3"}}]},
+        ],
+        ids=["empty-root", "empty-parent", "linear-not-integers"],
+    )
+    def test_malformed_knowledge_terms_exit_two(self, capsys, tmp_path, document):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps(document))
+        code, out, err = run_cli(
+            capsys, "match", '{(x, "a"), (a, 10)}', '(x = "b")',
+            "--mode", "semantic", "--knowledge", str(kb_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestCoversCommand:
     def test_syntactic_rows(self, capsys):
@@ -232,6 +253,18 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(path), "--verify")
         assert code == 2
         assert "tree" in err
+
+    def test_non_string_action_exits_two(self, capsys, tmp_path):
+        doc = {
+            "brokers": ["b1"],
+            "clients": [{"id": "c", "broker": "b1"}],
+            "script": [{"action": ["x"], "client": "c", "payload": "(x = 1)"}],
+        }
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "unknown action" in err
 
     def test_missing_scenario_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "missing.json")

@@ -222,6 +222,42 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match=f"{key} must be a list"):
             load_knowledge(doc(**{key: value}))
 
+    @pytest.mark.parametrize("bad", ["", 5, True, None, ["a"]])
+    @pytest.mark.parametrize(
+        "section, entry, key",
+        [
+            ("synonyms", {"root": "a", "members": ["b"]}, "root"),
+            ("hierarchy", {"child": "a", "parent": "b"}, "child"),
+            ("hierarchy", {"child": "a", "parent": "b"}, "parent"),
+            (
+                "mappings",
+                {"name": "f", "inputs": ["a"], "output": "b",
+                 "body": {"kind": "rename", "input": "a"}},
+                "output",
+            ),
+        ],
+    )
+    def test_terms_must_be_non_empty_strings(self, section, entry, key, bad):
+        with pytest.raises(KnowledgeError, match=f"{key} must be a non-empty string"):
+            load_knowledge(doc(**{section: [{**entry, key: bad}]}))
+
+    @pytest.mark.parametrize("kind", ["rename", "linear", "years_since"])
+    def test_body_input_must_be_a_string(self, kind):
+        # "5" is a declared input, so only the coercion of 5 could load it.
+        body = {"kind": kind, "input": 5, "scale": 1, "offset": 0}
+        bad = {"name": "f", "inputs": ["5"], "output": "b", "body": body}
+        with pytest.raises(KnowledgeError, match="input must be a non-empty string"):
+            load_knowledge(doc(mappings=[bad]))
+
+    @pytest.mark.parametrize(
+        "scale, offset", [(1.5, 3), (1, "3"), (True, 0), (2, False), (None, 0)]
+    )
+    def test_linear_coefficients_must_be_integers(self, scale, offset):
+        body = {"kind": "linear", "input": "a", "scale": scale, "offset": offset}
+        bad = {"name": "f", "inputs": ["a"], "output": "b", "body": body}
+        with pytest.raises(KnowledgeError, match="must be integers"):
+            load_knowledge(doc(mappings=[bad]))
+
 
 class TestRootAndAncestorProperties:
     def test_root_term_idempotent_on_random_kbs(self):

@@ -45,7 +45,7 @@ class TestAdvertise:
         assert [(m.kind, m.to, m.frm) for m in out] == [
             (MessageKind.ADVERTISE, "b3", "b2")
         ]
-        assert state.advertisements[0].origin == "b1"
+        assert list(state.advertisements) == [(ADV.id, "b1")]
 
     def test_client_advertisement_floods_to_all_neighbors(self):
         state, out = handle_advertise(broker(), ADV, frm="c1")
@@ -73,7 +73,7 @@ class TestSubscribeGating:
         state, out = handle_subscribe(broker(), SUB_WIDE, frm="c1")
         assert out == []
         assert state.gated == 2
-        assert state.subscriptions[0].forwarded_to == frozenset()
+        assert state.subscriptions[SUB_WIDE.id, "c1"].forwarded_to == frozenset()
 
     def test_forwarded_only_toward_the_advertiser(self):
         state, _ = handle_advertise(broker(), ADV, frm="b1")
@@ -112,7 +112,7 @@ class TestSubscribeSuppression:
         state, second = handle_subscribe(state, SUB_NARROW, frm="c1")
         assert second == []
         assert state.suppressed == 1
-        assert state.subscriptions[1].forwarded_to == frozenset()
+        assert state.subscriptions[SUB_NARROW.id, "c1"].forwarded_to == frozenset()
 
     def test_wider_subscription_still_forwarded(self):
         state = self.advertised()
@@ -160,6 +160,16 @@ class TestSubscribeSuppression:
         assert state2 is state
         assert out == []
 
+    def test_same_subscription_different_origin_kept(self):
+        state = self.advertised(covering_suppression=False)
+        state, _ = handle_subscribe(state, SUB_WIDE, frm="c1")
+        state2, out = handle_subscribe(state, SUB_WIDE, frm="b3")
+        assert list(state2.subscriptions) == [
+            (SUB_WIDE.id, "c1"),
+            (SUB_WIDE.id, "b3"),
+        ]
+        assert [m.to for m in out] == ["b1"]
+
 
 class TestSubscribeOneWalk:
     """Each stored entry is tested for covering at most once per subscribe,
@@ -178,7 +188,7 @@ class TestSubscribeOneWalk:
         assert second == []
         assert state.suppressed == 2
         assert state.gated == 0
-        assert state.subscriptions[1].forwarded_to == frozenset()
+        assert state.subscriptions[SUB_NARROW.id, "c1"].forwarded_to == frozenset()
 
     def test_gated_and_covered_links_counted_apart(self):
         state, _ = handle_advertise(broker(), ADV, frm="b1")
@@ -287,12 +297,11 @@ class TestHandleMessage:
 class TestThreeBrokerChain:
     """Advertisements flow outward; subscriptions retrace them hop by hop."""
 
-    def setup_chain(self, mode=RoutingMode.SYNTACTIC, kb=None):
-        kb = kb if kb is not None else KnowledgeBase.empty()
+    def setup_chain(self, subscribers=("sub",), **flags):
         return {
-            "b1": broker("b1", neighbors=("b2",), clients=("pub",), mode=mode, kb=kb),
-            "b2": broker("b2", neighbors=("b1", "b3"), clients=(), mode=mode, kb=kb),
-            "b3": broker("b3", neighbors=("b2",), clients=("sub",), mode=mode, kb=kb),
+            "b1": broker("b1", neighbors=("b2",), clients=("pub",), **flags),
+            "b2": broker("b2", neighbors=("b1", "b3"), clients=(), **flags),
+            "b3": broker("b3", neighbors=("b2",), clients=subscribers, **flags),
         }
 
     def run_wave(self, states, messages):
@@ -309,15 +318,16 @@ class TestThreeBrokerChain:
         states = self.run_wave(
             states, [Message(MessageKind.ADVERTISE, ADV, frm="pub", to="b1")]
         )
-        assert states["b2"].advertisements[0].origin == "b1"
-        assert states["b3"].advertisements[0].origin == "b2"
+        assert list(states["b2"].advertisements) == [(ADV.id, "b1")]
+        assert list(states["b3"].advertisements) == [(ADV.id, "b2")]
 
         states = self.run_wave(
             states, [Message(MessageKind.SUBSCRIBE, SUB_WIDE, frm="sub", to="b3")]
         )
-        assert states["b3"].subscriptions[0].forwarded_to == frozenset({"b2"})
-        assert states["b2"].subscriptions[0].origin == "b3"
-        assert states["b1"].subscriptions[0].origin == "b2"
+        entry = states["b3"].subscriptions[SUB_WIDE.id, "sub"]
+        assert entry.forwarded_to == frozenset({"b2"})
+        assert list(states["b2"].subscriptions) == [(SUB_WIDE.id, "b3")]
+        assert list(states["b1"].subscriptions) == [(SUB_WIDE.id, "b2")]
 
         notified = []
         messages = [Message(MessageKind.PUBLISH, EVENT, frm="pub", to="b1", index=0)]
@@ -329,3 +339,21 @@ class TestThreeBrokerChain:
             states[msg.to], out = handle_message(states[msg.to], msg)
             messages.extend(out)
         assert notified == [("sub", "b3")]
+
+    def test_repeated_arrival_on_one_link_kept_once(self):
+        # Two clients behind b3 subscribe the same text.  With covering
+        # suppression off b3 forwards both, so b2 sees one key twice.
+        states = self.setup_chain(
+            subscribers=("s1", "s2"), covering_suppression=False
+        )
+        states = self.run_wave(
+            states, [Message(MessageKind.ADVERTISE, ADV, frm="pub", to="b1")]
+        )
+        _, first = handle_subscribe(states["b3"], SUB_WIDE, frm="s1")
+        _, second = handle_subscribe(states["b3"], SUB_WIDE, frm="s2")
+        assert [m.to for m in first + second] == ["b2", "b2"]
+        state, out = handle_message(states["b2"], first[0])
+        assert [m.to for m in out] == ["b1"]
+        state, out = handle_message(state, second[0])
+        assert out == []
+        assert list(state.subscriptions) == [(SUB_WIDE.id, "b3")]

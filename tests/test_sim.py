@@ -131,6 +131,13 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="unknown action"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("action", [["subscribe"], {"a": 1}, 5, None])
+    def test_action_must_be_a_string(self, action):
+        doc = minimal_doc()
+        doc["script"][0]["action"] = action
+        with pytest.raises(ScenarioError, match="unknown action"):
+            load_scenario(doc)
+
     def test_malformed_payload_carries_position(self):
         doc = minimal_doc()
         doc["script"][0]["payload"] = "(x >= )"
@@ -177,6 +184,10 @@ class TestLoadValidation:
         doc = minimal_doc(knowledge="nowhere.json")
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(doc, base_dir=tmp_path)
+
+    def test_knowledge_path_with_nul_byte(self):
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_scenario(minimal_doc(knowledge="kb\x00.json"))
 
     def test_inline_knowledge_validated(self):
         doc = minimal_doc(knowledge={"hierarchy": [{"child": "a", "parent": "a"}]})
