@@ -331,10 +331,11 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
             isinstance(m, str) and m for m in members
         ):
             raise KnowledgeError(f"{where}: members must be non-empty strings")
+        members = [m.lower() for m in members]
         if len(set(members)) != len(members):
             raise KnowledgeError(f"{where}: duplicate member")
         root = _term(raw["root"], where, "root")
-        groups.append(SynonymGroup(root, frozenset(m.lower() for m in members)))
+        groups.append(SynonymGroup(root, frozenset(members)))
 
     edges = []
     for i, raw in enumerate(_list_field(data, "hierarchy")):

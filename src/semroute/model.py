@@ -299,8 +299,11 @@ class _Parser:
             return Value.string(text)
         if tok.kind == "int":
             self.advance()
-            number = int(tok.text)
-            if not (INT_MIN <= number <= INT_MAX):
+            try:
+                number = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                number = None
+            if number is None or not (INT_MIN <= number <= INT_MAX):
                 raise ParseError("integer out of 64-bit range", tok.position)
             return Value.integer(number)
         if tok.kind == "bare" and tok.text.lower() in ("true", "false"):

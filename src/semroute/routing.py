@@ -82,11 +82,8 @@ class BrokerState:
     covering_suppression: bool = True
     advertisement_gating: bool = True
 
-    def links(self) -> tuple[str, ...]:
-        return self.neighbors + self.clients
-
     def _check_link(self, link: str) -> None:
-        if link not in self.links():
+        if link not in self.neighbors and link not in self.clients:
             raise RoutingError(f"broker {self.id!r} has no link {link!r}")
 
     def _covers(self, s1: Subscription, s2: Subscription) -> bool:

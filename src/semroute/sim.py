@@ -16,10 +16,13 @@ A scenario file is a JSON object:
       ]
     }
 
-Script payloads use the entity text grammar.  The loader checks that the
-edges form a tree, that every reference resolves, and that each publish is
-preceded by an advertisement from the same client that admits the event
-under the scenario's mode.
+Ids and script payloads are non-empty JSON strings; payloads use the entity
+text grammar.  The loader checks that the edges form a tree, that every
+reference resolves, and that each publish is preceded by an advertisement
+from the same client that admits the event under the scenario's mode.  It
+keeps each broker's neighbours and each client's home broker, and resolves
+each action to its first message: the parsed payload sent by the client to
+its home broker.
 
 `run` executes the script with logical time only: each action's message
 cascade runs to quiescence before the next action starts, breadth-first by
@@ -72,22 +75,17 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ScriptAction:
-    kind: MessageKind
-    client: str
-    payload: Union[Advertisement, Subscription, Event]
-    # Position among the script's publish actions; None for other kinds.
-    index: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Scenario:
     brokers: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    clients: tuple[tuple[str, str], ...]
+    # Each broker's neighbour brokers, sorted.
+    neighbors: dict[str, tuple[str, ...]]
+    # Each client's home broker.
+    clients: dict[str, str]
     kb: KnowledgeBase
     mode: RoutingMode
-    script: tuple[ScriptAction, ...]
+    # Each action as the message its client sends to its home broker; a
+    # publish carries its position among the script's publishes as `index`.
+    script: tuple[Message, ...]
     seed: Optional[int] = None
 
     def with_mode(self, mode: RoutingMode) -> "Scenario":
@@ -98,12 +96,6 @@ class Scenario:
         still be inspected syntactically.
         """
         return replace(self, mode=mode)
-
-    def home_broker(self, client: str) -> str:
-        for cid, broker in self.clients:
-            if cid == client:
-                return broker
-        raise ScenarioError(f"unknown client {client!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,17 @@ def _list_field(data: dict, key: str) -> list:
     return value
 
 
-def _check_tree(brokers: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
+def _name(raw: object, what: str) -> str:
+    if isinstance(raw, str) and raw:
+        return raw
+    raise ScenarioError(f"{what} must be a non-empty string")
+
+
+def _tree(
+    brokers: tuple[str, ...], edges: list[tuple[str, str]]
+) -> dict[str, tuple[str, ...]]:
+    """Each broker's sorted neighbours, once the edges are checked to form a
+    tree over the brokers."""
     _require(len(edges) == len(brokers) - 1, "edges must form a tree")
     adjacency: dict[str, list[str]] = {b: [] for b in brokers}
     for a, b in edges:
@@ -178,6 +180,7 @@ def _check_tree(brokers: tuple[str, ...], edges: tuple[tuple[str, str], ...]) ->
                 seen.add(peer)
                 frontier.append(peer)
     _require(len(seen) == len(brokers), "topology is not connected")
+    return {b: tuple(sorted(peers)) for b, peers in adjacency.items()}
 
 
 def load_scenario(
@@ -200,11 +203,8 @@ def load_scenario(
     unknown = set(data) - known
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
 
-    brokers = tuple(_list_field(data, "brokers"))
+    brokers = tuple(_name(b, "broker id") for b in _list_field(data, "brokers"))
     _require(len(brokers) > 0, "at least one broker required")
-    _require(
-        all(isinstance(b, str) and b for b in brokers), "broker ids must be strings"
-    )
     _require(len(set(brokers)) == len(brokers), "duplicate broker id")
 
     raw_edges = _list_field(data, "edges")
@@ -212,21 +212,22 @@ def load_scenario(
         all(isinstance(e, list) and len(e) == 2 for e in raw_edges),
         "edges must be pairs",
     )
-    edges = tuple((str(a), str(b)) for a, b in raw_edges)
-    _check_tree(brokers, edges)
+    neighbors = _tree(
+        brokers, [(_name(a, "edge end"), _name(b, "edge end")) for a, b in raw_edges]
+    )
 
-    clients = []
+    clients: dict[str, str] = {}
     for raw in _list_field(data, "clients"):
         _require(
             isinstance(raw, dict) and "id" in raw and "broker" in raw,
             "clients need id and broker",
         )
-        cid, broker = str(raw["id"]), str(raw["broker"])
-        _require(broker in brokers, f"client {cid!r} on unknown broker {broker!r}")
-        _require(cid not in brokers, f"client id {cid!r} collides with a broker")
-        clients.append((cid, broker))
-    client_ids = [c for c, _ in clients]
-    _require(len(set(client_ids)) == len(client_ids), "duplicate client id")
+        cid = _name(raw["id"], "client id")
+        broker = _name(raw["broker"], f"client {cid!r} broker")
+        _require(broker in neighbors, f"client {cid!r} on unknown broker {broker!r}")
+        _require(cid not in neighbors, f"client id {cid!r} collides with a broker")
+        _require(cid not in clients, "duplicate client id")
+        clients[cid] = broker
 
     knowledge = data.get("knowledge")
     if knowledge is None:
@@ -266,9 +267,9 @@ def load_scenario(
         "subscribe": (MessageKind.SUBSCRIBE, parse_subscription),
         "publish": (MessageKind.PUBLISH, parse_event),
     }
-    script: list[ScriptAction] = []
+    script: list[Message] = []
     publish_count = 0
-    advertised: dict[str, list[Advertisement]] = {c: [] for c in client_ids}
+    advertised: dict[str, list[Advertisement]] = {c: [] for c in clients}
     for i, raw in enumerate(_list_field(data, "script")):
         where = f"script[{i}]"
         _require(
@@ -281,11 +282,12 @@ def load_scenario(
             isinstance(action, str) and action in parsers,
             f"{where}: unknown action {action!r}",
         )
-        client = str(raw["client"])
-        _require(client in advertised, f"{where}: unknown client {client!r}")
+        client = _name(raw["client"], f"{where}: client")
+        _require(client in clients, f"{where}: unknown client {client!r}")
+        text = _name(raw["payload"], f"{where}: payload")
         kind, parser = parsers[action]
         try:
-            payload = parser(str(raw["payload"]))
+            payload = parser(text)
         except ParseError as err:
             raise ScenarioError(f"{where}: {err}") from None
         index = None
@@ -303,41 +305,17 @@ def load_scenario(
             publish_count += 1
         elif kind is MessageKind.ADVERTISE:
             advertised[client].append(payload)
-        script.append(ScriptAction(kind, client, payload, index))
+        script.append(Message(kind, payload, frm=client, to=clients[client], index=index))
 
     return Scenario(
         brokers=brokers,
-        edges=edges,
-        clients=tuple(clients),
+        neighbors=neighbors,
+        clients=clients,
         kb=kb,
         mode=mode,
         script=tuple(script),
         seed=seed,
     )
-
-
-def _initial_states(
-    scenario: Scenario, covering_suppression: bool, advertisement_gating: bool
-) -> dict[str, BrokerState]:
-    neighbors: dict[str, list[str]] = {b: [] for b in scenario.brokers}
-    for a, b in scenario.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    homed: dict[str, list[str]] = {b: [] for b in scenario.brokers}
-    for cid, broker in scenario.clients:
-        homed[broker].append(cid)
-    return {
-        b: BrokerState(
-            id=b,
-            neighbors=tuple(sorted(neighbors[b])),
-            clients=tuple(sorted(homed[b])),
-            kb=scenario.kb,
-            mode=scenario.mode,
-            covering_suppression=covering_suppression,
-            advertisement_gating=advertisement_gating,
-        )
-        for b in scenario.brokers
-    }
 
 
 def run(
@@ -346,18 +324,25 @@ def run(
     advertisement_gating: bool = True,
 ) -> SimReport:
     """Execute the script and collect deliveries and per-link traffic."""
-    states = _initial_states(scenario, covering_suppression, advertisement_gating)
+    homed: dict[str, list[str]] = {b: [] for b in scenario.brokers}
+    for cid in sorted(scenario.clients):
+        homed[scenario.clients[cid]].append(cid)
+    states = {
+        b: BrokerState(
+            id=b,
+            neighbors=peers,
+            clients=tuple(homed[b]),
+            kb=scenario.kb,
+            mode=scenario.mode,
+            covering_suppression=covering_suppression,
+            advertisement_gating=advertisement_gating,
+        )
+        for b, peers in scenario.neighbors.items()
+    }
     counts: dict[str, Counter] = {kind.value: Counter() for kind in MessageKind}
     deliveries: set[tuple[str, int]] = set()
 
-    for action in scenario.script:
-        first = Message(
-            action.kind,
-            action.payload,
-            frm=action.client,
-            to=scenario.home_broker(action.client),
-            index=action.index,
-        )
+    for first in scenario.script:
         counts[first.kind.value][f"{first.frm}->{first.to}"] += 1
         frontier = [first]
         while frontier:
@@ -404,7 +389,7 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     expected: set[tuple[str, int]] = set()
     for action in scenario.script:
         if action.kind is MessageKind.SUBSCRIBE:
-            active.append((action.client, action.payload))
+            active.append((action.frm, action.payload))
         elif action.kind is MessageKind.PUBLISH:
             for client, sub in active:
                 if _mode_match(scenario, action.payload, sub):
@@ -428,7 +413,7 @@ def _mapping_explains(
     event = None
     active: list[Subscription] = []
     for action in scenario.script:
-        if action.kind is MessageKind.SUBSCRIBE and action.client == client:
+        if action.kind is MessageKind.SUBSCRIBE and action.frm == client:
             active.append(action.payload)
         elif action.kind is MessageKind.PUBLISH and action.index == index:
             event = action.payload
@@ -440,13 +425,9 @@ def _mapping_explains(
     )
 
 
-def verify(
-    scenario: Scenario,
-    covering_suppression: bool = True,
-    advertisement_gating: bool = True,
-) -> SimReport:
+def verify(scenario: Scenario) -> SimReport:
     """Run the scenario and grade its deliveries against the oracle."""
-    report = run(scenario, covering_suppression, advertisement_gating)
+    report = run(scenario)
     expected = oracle_deliveries(scenario)
     got = set(report.deliveries)
     missing = tuple(sorted(expected - got))

@@ -266,6 +266,18 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error: ") and "unknown action" in err
 
+    def test_non_string_client_id_exits_two(self, capsys, tmp_path):
+        doc = {
+            "brokers": ["b1"],
+            "clients": [{"id": 5, "broker": "b1"}],
+            "script": [],
+        }
+        path = tmp_path / "client.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "client id must be" in err
+
     def test_missing_scenario_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "missing.json")
         assert code == 2

@@ -1,10 +1,15 @@
-"""Fuzz the two JSON loaders with well-shaped documents carrying bad leaves.
+"""Fuzz the two JSON loaders and the three entity text parsers.
 
-Each example starts from a document that loads and replaces one to three of
-its positions with a leaf: an empty or short string, a number, a boolean,
-null, `[]` or `{}`.  A loader must return a value or raise its own error;
-nothing else may escape.  A knowledge base that loads must then be usable
-for matching.
+Each loader example starts from a document that loads and replaces one to
+three of its positions with a leaf: an empty or short string, a number, a
+boolean, null, `[]` or `{}`.  A loader must return a value or raise its own
+error; nothing else may escape.  A knowledge base that loads must then be
+usable for matching.
+
+Each parser example is text built from grammar tokens, in entity shape or
+in any order, with stray characters spliced in.  A parser must return an
+entity or raise `ParseError`, and an entity it returns must parse back from
+its rendered text to an equal entity.
 """
 
 import copy
@@ -13,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semroute.knowledge import KnowledgeError, MappingEvaluationError, load_knowledge
-from semroute.model import parse_advertisement, parse_event, parse_subscription
+from semroute.model import (
+    ParseError,
+    parse_advertisement,
+    parse_event,
+    parse_subscription,
+    render,
+)
 from semroute.semantic import sem_covers, sem_intersects, sem_match
 from semroute.sim import ScenarioError, load_scenario
 
@@ -143,3 +154,63 @@ def test_scenario_loader_raises_only_scenario_error(document):
         load_scenario(document)
     except ScenarioError:
         pass
+
+
+# Text parser fuzzing ------------------------------------------------------
+
+CHARACTERS = 'aZ \\"\x00\n'
+QUOTED = st.one_of(
+    st.text(alphabet=CHARACTERS, min_size=1, max_size=4).map(
+        lambda t: '"' + t.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    ),
+    # Unescaped: stray escapes and unbalanced quotes.
+    st.text(alphabet=CHARACTERS, max_size=4).map(lambda t: f'"{t}"'),
+)
+BAREWORDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,3}", fullmatch=True)
+ATTRIBUTES = st.one_of(BAREWORDS, QUOTED)
+VALUES = st.one_of(
+    QUOTED,
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(["true", "FALSE", "9" * 5000, "-" + "0" * 30 + "1", "x"]),
+)
+OPERATORS = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+PAIRS = st.builds("({}, {})".format, ATTRIBUTES, VALUES)
+PREDICATES = st.builds("({} {} {})".format, ATTRIBUTES, OPERATORS, VALUES)
+TOKENS = st.one_of(
+    st.sampled_from(["{", "}", "(", ")", ",", "AND", "and"]),
+    OPERATORS,
+    VALUES,
+    st.text(max_size=2),
+    st.sampled_from(["\x00", "\\", '"', "\t", "é"]),
+)
+SHAPED = st.one_of(
+    st.lists(PAIRS, min_size=1, max_size=3).map(lambda ps: "{" + ", ".join(ps) + "}"),
+    st.lists(PREDICATES, min_size=1, max_size=3).map(" AND ".join),
+    st.lists(st.tuples(TOKENS, st.sampled_from(["", " "])), max_size=10).map(
+        lambda parts: "".join(token + gap for token, gap in parts)
+    ),
+)
+
+
+def spliced(text, edits):
+    """`text` with each (position, junk) edit inserted, positions wrapping."""
+    for position, junk in edits:
+        position %= len(text) + 1
+        text = text[:position] + junk + text[position:]
+    return text
+
+
+TEXTS = st.builds(
+    spliced, SHAPED, st.lists(st.tuples(st.integers(0, 60), TOKENS), max_size=2)
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(TEXTS)
+def test_text_parsers_raise_only_parse_error(text):
+    for parse in (parse_event, parse_subscription, parse_advertisement):
+        try:
+            entity = parse(text)
+        except ParseError:
+            continue
+        assert parse(render(entity)) == entity

@@ -107,6 +107,10 @@ class TestLoaderValidation:
         kb = load_knowledge(doc(synonyms=[{"root": "Vehicle", "members": ["Car"]}]))
         assert kb.root_term("car") == "vehicle"
 
+    def test_members_differing_only_in_case_are_duplicates(self):
+        with pytest.raises(KnowledgeError, match="duplicate member"):
+            load_knowledge(doc(synonyms=[{"root": "v", "members": ["Car", "car"]}]))
+
     def test_root_listed_as_member(self):
         with pytest.raises(KnowledgeError, match="listed among its members"):
             load_knowledge(doc(synonyms=[{"root": "a", "members": ["a", "b"]}]))

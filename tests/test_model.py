@@ -99,6 +99,9 @@ class TestParseEvent:
     def test_out_of_range_integer_rejected(self):
         with pytest.raises(ParseError):
             parse_event("{(a, 99999999999999999999)}")
+        # Longer than int() converts by default.
+        with pytest.raises(ParseError):
+            parse_event("{(a, " + "9" * 5000 + ")}")
 
 
 class TestParsePredicates:

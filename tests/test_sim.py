@@ -61,7 +61,7 @@ class TestLoadValidation:
     def test_minimal_document_loads(self):
         scenario = load_scenario(minimal_doc())
         assert scenario.brokers == ("b1", "b2")
-        assert scenario.home_broker("r1") == "b2"
+        assert scenario.clients["r1"] == "b2"
         assert len(scenario.script) == 4
 
     def test_bytes_and_str_accepted(self):
@@ -123,6 +123,24 @@ class TestLoadValidation:
         doc = minimal_doc()
         doc["script"][0]["client"] = "ghost"
         with pytest.raises(ScenarioError, match="unknown client"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(edges=[[1, "b2"]]),
+            lambda d: d.update(edges=[[True, "b2"]]),
+            lambda d: d["clients"][0].update(id=5),
+            lambda d: d["clients"][0].update(broker=True),
+            lambda d: d["script"][0].update(client=5),
+            lambda d: d["script"][0].update(payload=5),
+        ],
+        ids=["edge-int", "edge-bool", "id", "broker", "script-client", "payload"],
+    )
+    def test_ids_must_be_strings(self, edit):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(ScenarioError, match="must be a non-empty string"):
             load_scenario(doc)
 
     def test_unknown_action(self):
@@ -197,11 +215,6 @@ class TestLoadValidation:
     def test_knowledge_wrong_type(self):
         with pytest.raises(ScenarioError, match="path or an object"):
             load_scenario(minimal_doc(knowledge=7))
-
-    def test_home_broker_unknown_client(self):
-        scenario = load_scenario(minimal_doc())
-        with pytest.raises(ScenarioError, match="unknown client"):
-            scenario.home_broker("ghost")
 
 
 @pytest.fixture(scope="module")
