@@ -309,7 +309,10 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     if isinstance(document, (bytes, str)):
         try:
             data = json.loads(document)
-        except json.JSONDecodeError as err:
+        # ValueError also covers bytes that are not UTF-8 and integers too
+        # long to convert; RecursionError, nesting deeper than the decoder
+        # can recurse.
+        except (ValueError, RecursionError) as err:
             raise KnowledgeError(f"invalid JSON: {err}") from None
     else:
         data = document

@@ -10,10 +10,14 @@ travel the reverse subscription paths and reach clients as NOTIFY messages.
 Each broker keeps one table of advertisements and one of subscriptions,
 both keyed by (id, arrival link), so a repeated arrival is found by one
 lookup and ignored.  Brokers update their tables in place; each handler
-returns the broker it was given with the outgoing messages.  Subscribe and
-publish each walk a table once, in insertion order, so a run replays
-deterministically.  The relation set (syntactic or semantic) is fixed per
-broker by `RoutingMode`.
+returns the broker it was given with the outgoing messages.  Publish walks
+the subscription table once, in insertion order, so a run replays
+deterministically.  The subscriptions are also grouped by attribute set
+(root forms), and a subscribe tests for covering only the groups whose
+attributes it can reach: a stored subscription naming an attribute that is
+neither one of the new subscription's nor an ancestor of one cannot cover
+it.  The relation set (syntactic or semantic) is fixed per broker by
+`RoutingMode`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from typing import Union
 
 from .knowledge import KnowledgeBase
 from .model import Advertisement, Event, Subscription
-from .semantic import sem_covers, sem_intersects, sem_match
+from .semantic import (
+    attribute_reach,
+    sem_covers,
+    sem_intersects,
+    sem_match,
+    subscription_attributes,
+)
 from .syntactic import covers, intersects, match_event
 
 
@@ -74,6 +84,10 @@ class BrokerState:
     kb: KnowledgeBase
     mode: RoutingMode
     subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
+    # The same entries grouped by `subscription_attributes`, for covering.
+    by_attributes: dict[frozenset[str], list[SubscriptionEntry]] = field(
+        default_factory=dict
+    )
     advertisements: dict[Key, Advertisement] = field(default_factory=dict)
     suppressed: int = 0
     gated: int = 0
@@ -127,9 +141,11 @@ def handle_subscribe(
     advertisement that arrived from that neighbor intersects it (gating) and
     no subscription previously forwarded to that neighbor covers it
     (suppression).  One walk over the advertisements opens each link at its
-    first intersecting entry; one walk over the subscriptions then tests an
-    entry only while it was forwarded to a link still open, and a covering
-    entry suppresses all of those links.
+    first intersecting entry.  One walk over the subscription groups whose
+    attributes the new subscription reaches then tests an entry only while
+    it was forwarded to a link still open, and a covering entry suppresses
+    all of those links; the walk ends once a group leaves no link open.
+    Which links end up suppressed does not depend on the order of the walk.
     """
     state._check_link(frm)
     if (sub.id, frm) in state.subscriptions:
@@ -142,14 +158,22 @@ def handle_subscribe(
                 closed.discard(origin)
                 live.add(origin)
         state.gated += len(closed)
-    if state.covering_suppression:
-        for e in state.subscriptions.values():
-            if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
-                state.suppressed += len(live & e.forwarded_to)
-                live -= e.forwarded_to
+    attributes = subscription_attributes(sub, state.kb)
+    if state.covering_suppression and live:
+        reach = attribute_reach(attributes, state.kb)
+        for key, group in state.by_attributes.items():
+            if not key <= reach:
+                continue
+            for e in group:
+                if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
+                    state.suppressed += len(live & e.forwarded_to)
+                    live -= e.forwarded_to
+            if not live:
+                break
     forwarded = [n for n in state.neighbors if n in live]
     entry = SubscriptionEntry(sub, frozenset(forwarded))
     state.subscriptions[sub.id, frm] = entry
+    state.by_attributes.setdefault(attributes, []).append(entry)
     out = [
         Message(MessageKind.SUBSCRIBE, sub, frm=state.id, to=n)
         for n in forwarded

@@ -248,12 +248,29 @@ def _sem_implies(p2: Predicate, p1: Predicate, kb: KnowledgeBase) -> bool:
     return implies(p2, p1)
 
 
+def subscription_attributes(sub: Subscription, kb: KnowledgeBase) -> frozenset[str]:
+    """The root forms of the subscription's predicate attributes."""
+    return frozenset(kb.root_term(p.attribute) for p in sub.predicates)
+
+
+def attribute_reach(attributes: frozenset[str], kb: KnowledgeBase) -> frozenset[str]:
+    """The root-form attributes together with all their hierarchy ancestors."""
+    return attributes.union(*(kb.ancestors(a) for a in attributes))
+
+
 def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     """True iff every event semantically matching s2 semantically matches s1.
 
     Hierarchy-only and sound; mapping functions are not consulted, so a
     subscription satisfiable only through a mapping output may defeat the
     inclusion this relation promises (see module docstring).
+
+    An s1 predicate is implied only by an s2 predicate on a descendant of
+    (or the same) attribute, so s1 can cover s2 only if
+    `subscription_attributes(s1, kb)` lies within
+    `attribute_reach(subscription_attributes(s2, kb), kb)`.  Syntactic
+    `covers` needs literal attribute inclusion, which root forms preserve,
+    so the same test is necessary for it under any knowledge base.
     """
     n1 = _normalized_sub(s1, kb)
     n2 = _normalized_sub(s2, kb)

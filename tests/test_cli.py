@@ -16,6 +16,10 @@ KB = str(SCENARIOS / "knowledge_base.json")
 
 ENCYCLOPEDIA_EVENT = '{(encyclopedia, "Stone Age"), (subject, "crocodiles")}'
 BOOK_SUB = '(book = "Stone Age") AND (subject = "reptiles")'
+# JSON files the decoder cannot read: bytes that are not UTF-8, nesting
+# deeper than it can recurse, an integer longer than `int()` converts.
+UNDECODABLE = [b"\xff{}", b"[" * 200000 + b"]" * 200000, b"[" + b"9" * 5000 + b"]"]
+UNDECODABLE_IDS = ["not-utf8", "too-deep", "integer-too-long"]
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +105,17 @@ class TestMatchCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: mapping 'f'") and "64-bit range" in err
+
+    @pytest.mark.parametrize("raw", UNDECODABLE, ids=UNDECODABLE_IDS)
+    def test_undecodable_knowledge_exits_two(self, capsys, tmp_path, raw):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_bytes(raw)
+        code, out, err = run_cli(
+            capsys, "match", ENCYCLOPEDIA_EVENT, BOOK_SUB,
+            "--mode", "semantic", "--knowledge", str(kb_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON")
 
     @pytest.mark.parametrize("key", ["synonyms", "hierarchy", "mappings"])
     def test_knowledge_section_not_a_list_exits_two(self, capsys, tmp_path, key):
@@ -277,6 +292,25 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 2
         assert err.startswith("error: ") and "client id must be" in err
+
+    @pytest.mark.parametrize("raw", UNDECODABLE, ids=UNDECODABLE_IDS)
+    def test_undecodable_scenario_exits_two(self, capsys, tmp_path, raw):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("raw", UNDECODABLE, ids=UNDECODABLE_IDS)
+    def test_undecodable_knowledge_file_exits_two(self, capsys, tmp_path, raw):
+        (tmp_path / "kb.json").write_bytes(raw)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {"brokers": ["b1"], "knowledge": "kb.json", "script": []}
+        ))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad knowledge document: invalid JSON")
 
     def test_missing_scenario_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "missing.json")

@@ -4,7 +4,10 @@ Each loader example starts from a document that loads and replaces one to
 three of its positions with a leaf: an empty or short string, a number, a
 boolean, null, `[]` or `{}`.  A loader must return a value or raise its own
 error; nothing else may escape.  A knowledge base that loads must then be
-usable for matching.
+usable for matching.  Both loaders also read raw bytes: arbitrary bytes,
+brackets nested deeper than the decoder recurses (alone or in place of a
+value of a document that loads, as is an integer too long to convert), and
+bytes that are not UTF-8 spliced into such a document.
 
 Each parser example is text built from grammar tokens, in entity shape or
 in any order, with stray characters spliced in.  A parser must return an
@@ -13,6 +16,7 @@ its rendered text to an equal entity.
 """
 
 import copy
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +158,71 @@ def test_scenario_loader_raises_only_scenario_error(document):
         load_scenario(document)
     except ScenarioError:
         pass
+
+
+# Raw bytes -------------------------------------------------------------
+
+def nesting(brackets, depth, closed):
+    opener, closer = brackets
+    return opener * depth + (closer * depth if closed else b"")
+
+
+# At the top of the depth range, deeper than the decoder can recurse.
+NESTING = st.builds(
+    nesting,
+    st.sampled_from([(b"[", b"]"), (b'{"a": ', b"}")]),
+    st.integers(1, 3000),
+    st.booleans(),
+)
+NOT_UTF8 = st.one_of(
+    st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+def with_value_at(document, path, value):
+    """`document` as JSON bytes, with the value at `path` replaced by the
+    bytes `value`."""
+    marker = "\x01marker\x01"
+    text = json.dumps(replaced(document, [(path, marker)])).encode()
+    return text.replace(json.dumps(marker).encode(), value, 1)
+
+
+def spliced_bytes(raw, edits):
+    """`raw` with each (position, junk) edit inserted, positions wrapping."""
+    for position, junk in edits:
+        position %= len(raw) + 1
+        raw = raw[:position] + junk + raw[position:]
+    return raw
+
+
+RAW = st.one_of(
+    st.binary(max_size=64),
+    NESTING,
+    st.sampled_from([KNOWLEDGE, SCENARIO]).flatmap(
+        lambda document: st.builds(
+            with_value_at,
+            st.just(document),
+            st.sampled_from(list(positions(document))),
+            st.one_of(NESTING, st.just(b"9" * 5000)),
+        )
+    ),
+    st.builds(
+        spliced_bytes,
+        st.sampled_from([json.dumps(KNOWLEDGE).encode(), json.dumps(SCENARIO).encode()]),
+        st.lists(st.tuples(st.integers(0, 600), NOT_UTF8), min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(RAW)
+def test_loaders_read_raw_bytes_raising_only_their_errors(raw):
+    for load, error in ((load_knowledge, KnowledgeError), (load_scenario, ScenarioError)):
+        try:
+            load(raw)
+        except error:
+            pass
 
 
 # Text parser fuzzing ------------------------------------------------------

@@ -95,6 +95,20 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match="invalid JSON"):
             load_knowledge(b"{nope")
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff{}",
+            b"[" * 200000 + b"]" * 200000,
+            "[" * 200000 + "]" * 200000,
+            b"[" + b"9" * 5000 + b"]",
+        ],
+        ids=["not-utf8", "too-deep", "too-deep-str", "integer-too-long"],
+    )
+    def test_undecodable_json(self, raw):
+        with pytest.raises(KnowledgeError, match="invalid JSON"):
+            load_knowledge(raw)
+
     def test_non_object_document(self):
         with pytest.raises(KnowledgeError):
             load_knowledge(b"[1, 2]")

@@ -1,7 +1,7 @@
 import pytest
 
 import semroute.routing
-from semroute.knowledge import KnowledgeBase
+from semroute.knowledge import KnowledgeBase, SynonymGroup
 from semroute.model import parse_advertisement, parse_event, parse_subscription
 from semroute.routing import (
     BrokerState,
@@ -199,14 +199,7 @@ class TestSubscribeOneWalk:
         assert state.gated == 1
         assert state.suppressed == 1
 
-    @pytest.mark.parametrize(
-        "later",
-        [SUB_NARROW, parse_subscription('(product = "computer")')],
-        ids=["covered", "not-covered"],
-    )
-    def test_entry_on_two_links_tested_once(self, monkeypatch, later):
-        state = self.two_advertisers()
-        state, _ = handle_subscribe(state, SUB_WIDE, frm="c1")
+    def covers_calls(self, monkeypatch):
         calls = []
         real_covers = semroute.routing.covers
 
@@ -215,8 +208,64 @@ class TestSubscribeOneWalk:
             return real_covers(s1, s2)
 
         monkeypatch.setattr(semroute.routing, "covers", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            SUB_NARROW,
+            parse_subscription(
+                '(product = "computer") AND (brand = "IBM") AND (price <= 1700)'
+            ),
+        ],
+        ids=["covered", "not-covered"],
+    )
+    def test_entry_on_two_links_tested_once(self, monkeypatch, later):
+        state = self.two_advertisers()
+        state, _ = handle_subscribe(state, SUB_WIDE, frm="c1")
+        calls = self.covers_calls(monkeypatch)
         handle_subscribe(state, later, frm="c1")
         assert calls == [(SUB_WIDE, later)]
+
+    def test_entry_with_unreachable_attributes_is_not_tested(self, monkeypatch):
+        # SUB_WIDE names brand and price, which the later subscription lacks.
+        state = self.two_advertisers()
+        state, _ = handle_subscribe(state, SUB_WIDE, frm="c1")
+        calls = self.covers_calls(monkeypatch)
+        later = parse_subscription('(product = "computer")')
+        state, out = handle_subscribe(state, later, frm="c1")
+        assert calls == []
+        assert [m.to for m in out] == ["b1", "b3"]
+
+
+class TestSubscribeAttributeGroups:
+    """In semantic mode a stored subscription on an ancestor or a synonym of
+    the new one's attribute is still tested, and still suppresses it."""
+
+    KB = KnowledgeBase(
+        synonyms=[
+            SynonymGroup("item", frozenset({"article"})),
+            SynonymGroup("book", frozenset({"volume"})),
+        ],
+        hierarchy=[("book", "item")],
+    )
+
+    @pytest.mark.parametrize(
+        "stored",
+        ["(item >= 5)", "(article >= 5)", "(volume >= 5)"],
+        ids=["ancestor", "synonym-of-ancestor", "synonym"],
+    )
+    def test_related_attribute_suppresses(self, stored):
+        adv = parse_advertisement("(book >= 0) AND (price >= 0)")
+        state, _ = handle_advertise(
+            broker(mode=RoutingMode.SEMANTIC, kb=self.KB), adv, frm="b1"
+        )
+        state, first = handle_subscribe(state, parse_subscription(stored), frm="c1")
+        assert [m.to for m in first] == ["b1"]
+        later = parse_subscription("(book >= 7) AND (price <= 10)")
+        state, second = handle_subscribe(state, later, frm="c1")
+        assert second == []
+        assert state.suppressed == 1
 
 
 class TestPublish:

@@ -16,6 +16,7 @@ from semroute.model import (
 )
 from semroute.semantic import (
     Provenance,
+    attribute_reach,
     augment,
     normalize_advertisement,
     normalize_event,
@@ -24,6 +25,7 @@ from semroute.semantic import (
     sem_determines,
     sem_intersects,
     sem_match,
+    subscription_attributes,
 )
 from semroute.syntactic import covers, intersects, match_event
 
@@ -362,6 +364,40 @@ class TestSemCovers:
             s1 = random_subscription(rng, ["a", "b"], ["x", "y"])
             s2 = random_subscription(rng, ["a", "b"], ["x", "y"])
             assert sem_covers(s1, s2, kb) == covers(s1, s2)
+
+
+class TestCoveringAttributeReach:
+    """Covering needs every attribute of the covering side to be one of the
+    covered side's, or a hierarchy ancestor of one, in root form; routing
+    tests for covering only the stored subscriptions that pass this."""
+
+    def test_attribute_reach_is_necessary_for_covering(self):
+        empty = KnowledgeBase.empty()
+        covering = 0
+        for seed in range(2000):
+            rng = random.Random(seed + 11000)
+            kb = make_forest_kb(rng, rng.randint(3, 8), with_synonyms=True)
+            terms = sorted({t for edge in kb.hierarchy for t in edge} | {g.root for g in kb.synonyms})
+            spellings = terms + sorted(m for g in kb.synonyms for m in g.members)
+            attrs = rng.sample(spellings, k=min(4, len(spellings)))
+            s1 = random_subscription(rng, attrs, spellings, max_preds=2)
+            s2 = random_subscription(rng, attrs, spellings, max_preds=4)
+            reach = attribute_reach(subscription_attributes(s2, kb), kb)
+            inside = subscription_attributes(s1, kb) <= reach
+            for holds in (sem_covers(s1, s2, kb), covers(s1, s2)):
+                covering += holds
+                assert inside or not holds, (seed, s1, s2)
+            if covers(s1, s2):
+                bare = attribute_reach(subscription_attributes(s2, empty), empty)
+                assert subscription_attributes(s1, empty) <= bare, (seed, s1, s2)
+        assert covering > 200
+
+    def test_helpers(self, example_kb):
+        sub = parse_subscription('(book = "x") AND (subject = "reptiles")')
+        attributes = subscription_attributes(sub, example_kb)
+        assert attributes == {"book", "subject"}
+        reach = attribute_reach(attributes, example_kb)
+        assert reach == {"subject"} | {"book", *example_kb.ancestors("book")}
 
 
 class TestSemIntersects:

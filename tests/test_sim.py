@@ -73,6 +73,29 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(b"{")
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff{}",
+            b"[" * 200000 + b"]" * 200000,
+            "[" * 200000 + "]" * 200000,
+            b"[" + b"9" * 5000 + b"]",
+        ],
+        ids=["not-utf8", "too-deep", "too-deep-str", "integer-too-long"],
+    )
+    def test_undecodable_json(self, raw):
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff{}", b"[" * 200000 + b"]" * 200000], ids=["not-utf8", "too-deep"]
+    )
+    def test_undecodable_knowledge_file(self, tmp_path, raw):
+        (tmp_path / "kb.json").write_bytes(raw)
+        doc = minimal_doc(knowledge="kb.json")
+        with pytest.raises(ScenarioError, match="bad knowledge document: invalid JSON"):
+            load_scenario(doc, base_dir=tmp_path)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ScenarioError, match="unknown keys"):
             load_scenario(minimal_doc(moed="semantic"))
