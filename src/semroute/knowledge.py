@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .model import INT_MAX, INT_MIN, Event, Pair, Predicate, RelOp, Value
+from .model import INT_MAX, INT_MIN, Event, Pair, Predicate, RelOp, Value, excerpt
 from .syntactic import match_pair
 
 
@@ -238,7 +238,7 @@ def _json_value(raw: object, where: str) -> Value:
         if not raw:
             raise KnowledgeError(f"{where}: empty string value")
         return Value.string(raw)
-    raise KnowledgeError(f"{where}: unsupported value {raw!r}")
+    raise KnowledgeError(f"{where}: unsupported value {excerpt(raw)}")
 
 
 def _parse_guard(raw: object, where: str) -> Predicate:
@@ -255,7 +255,9 @@ def _parse_guard(raw: object, where: str) -> Predicate:
     try:
         op = RelOp(op_text)
     except ValueError:
-        raise KnowledgeError(f"{where}: unknown guard operator {op_text!r}") from None
+        raise KnowledgeError(
+            f"{where}: unknown guard operator {excerpt(op_text)}"
+        ) from None
     val = _json_value(value, where)
     if op.is_ordering and not val.is_int:
         raise KnowledgeError(f"{where}: ordering guard requires an integer")
@@ -294,7 +296,7 @@ def _parse_body(raw: object, where: str) -> MappingBody:
         return Linear(_term(raw["input"], where, "input"), raw["scale"], raw["offset"])
     if kind == "years_since":
         return YearsSince(_term(raw["input"], where, "input"))
-    raise KnowledgeError(f"{where}: unknown mapping body kind {kind!r}")
+    raise KnowledgeError(f"{where}: unknown mapping body kind {excerpt(kind)}")
 
 
 def _list_field(data: dict, key: str) -> list:

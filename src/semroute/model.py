@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import re
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterator, TypeVar, Union
 
@@ -38,6 +39,20 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxlevel = 2
+_EXCERPT_LIMIT = 60
+
+
+def excerpt(raw: object) -> str:
+    """`repr(raw)` cut to at most 60 characters, for quoting rejected input
+    in an error message; nesting past two levels shows as `...`."""
+    text = _EXCERPT.repr(raw)
+    if len(text) <= _EXCERPT_LIMIT:
+        return text
+    return text[: _EXCERPT_LIMIT - 3] + "..."
 
 
 _T = TypeVar("_T")

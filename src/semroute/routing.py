@@ -10,14 +10,17 @@ travel the reverse subscription paths and reach clients as NOTIFY messages.
 Each broker keeps one table of advertisements and one of subscriptions,
 both keyed by (id, arrival link), so a repeated arrival is found by one
 lookup and ignored.  Brokers update their tables in place; each handler
-returns the broker it was given with the outgoing messages.  Publish walks
-the subscription table once, in insertion order, so a run replays
-deterministically.  The subscriptions are also grouped by attribute set
-(root forms), and a subscribe tests for covering only the groups whose
-attributes it can reach: a stored subscription naming an attribute that is
-neither one of the new subscription's nor an ancestor of one cannot cover
-it.  The relation set (syntactic or semantic) is fixed per broker by
-`RoutingMode`.
+returns the broker it was given with the outgoing messages.  The
+subscriptions are also grouped by attribute set (root forms), and both
+walks over them visit only the groups that could pass the test at hand.  A
+subscribe tests for covering only the groups whose attributes it can reach:
+a stored subscription naming an attribute that is neither one of the new
+subscription's nor an ancestor of one cannot cover it.  A publish tests
+only the groups whose attributes the event carries: a subscription naming
+an attribute at which the (augmented) event has no value cannot match it.
+Outgoing messages follow the order of the broker's clients and neighbors,
+not the walk, so a run replays deterministically.  The relation set
+(syntactic or semantic) is fixed per broker by `RoutingMode`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .knowledge import KnowledgeBase
 from .model import Advertisement, Event, Subscription
 from .semantic import (
     attribute_reach,
+    carried_attributes,
     sem_covers,
     sem_intersects,
     sem_match,
@@ -70,9 +74,11 @@ class Message:
     index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscriptionEntry:
     sub: Subscription
+    # The link the subscription arrived on.
+    origin: str
     forwarded_to: frozenset[str]
 
 
@@ -84,7 +90,8 @@ class BrokerState:
     kb: KnowledgeBase
     mode: RoutingMode
     subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
-    # The same entries grouped by `subscription_attributes`, for covering.
+    # The same entries grouped by `subscription_attributes`, in arrival order
+    # within each group; the covering and publish walks read these.
     by_attributes: dict[frozenset[str], list[SubscriptionEntry]] = field(
         default_factory=dict
     )
@@ -109,6 +116,17 @@ class BrokerState:
         if self.mode is RoutingMode.SEMANTIC:
             return sem_intersects(adv, sub, self.kb)
         return intersects(adv, sub)
+
+    def _carried(self, event: Event) -> frozenset[str]:
+        """Root-form attributes at which `_matches` can find a value.
+
+        Semantically, the augmented event's attributes.  Syntactic matching
+        needs literal attribute inclusion, which root forms preserve, so
+        there the root forms of the event's own attributes suffice.
+        """
+        if self.mode is RoutingMode.SEMANTIC:
+            return carried_attributes(event, self.kb)
+        return frozenset(self.kb.root_term(p.attribute) for p in event.pairs)
 
     def _matches(self, event: Event, sub: Subscription) -> bool:
         if self.mode is RoutingMode.SEMANTIC:
@@ -171,7 +189,7 @@ def handle_subscribe(
             if not live:
                 break
     forwarded = [n for n in state.neighbors if n in live]
-    entry = SubscriptionEntry(sub, frozenset(forwarded))
+    entry = SubscriptionEntry(sub, frm, frozenset(forwarded))
     state.subscriptions[sub.id, frm] = entry
     state.by_attributes.setdefault(attributes, []).append(entry)
     out = [
@@ -187,18 +205,27 @@ def handle_publish(
     """Notify interested local clients and forward to interested neighbors.
 
     At most one copy leaves per link however many subscriptions match there.
-    One walk over the table marks each link at its first matching entry, so
-    the entries of a link are tested in table order until one matches.
     Every client is a candidate, the publisher too; every neighbor except
-    the sender is.
+    the sender is.  One walk over the subscription groups whose attributes
+    the event carries tests an entry only while its link is still pending,
+    and marks the link at its first match; the walk ends once a group
+    leaves no link pending.  Which links are marked does not depend on the
+    order of the walk.
     """
     state._check_link(frm)
     pending = {*state.clients, *(n for n in state.neighbors if n != frm)}
     matched = set()
-    for (_, origin), e in state.subscriptions.items():
-        if origin in pending and state._matches(event, e.sub):
-            pending.discard(origin)
-            matched.add(origin)
+    if pending and state.by_attributes:
+        carried = state._carried(event)
+        for key, group in state.by_attributes.items():
+            if not key <= carried:
+                continue
+            for e in group:
+                if e.origin in pending and state._matches(event, e.sub):
+                    pending.discard(e.origin)
+                    matched.add(e.origin)
+            if not pending:
+                break
     out = [
         Message(MessageKind.NOTIFY, event, frm=state.id, to=c, index=index)
         for c in state.clients

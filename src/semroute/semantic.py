@@ -94,9 +94,11 @@ def normalize_event(event: Event, kb: KnowledgeBase) -> Event:
 
 
 def normalize_subscription(sub: Subscription, kb: KnowledgeBase) -> Subscription:
-    return Subscription(
-        tuple(normalize_predicate(p, kb) for p in sub.predicates), id=sub.id
-    )
+    """The subscription over root terms; `sub` itself when it already is."""
+    predicates = tuple(normalize_predicate(p, kb) for p in sub.predicates)
+    if predicates == sub.predicates:
+        return sub
+    return Subscription(predicates, id=sub.id)
 
 
 def normalize_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisement:
@@ -153,11 +155,17 @@ def _by_attribute(items: Iterable[tuple[str, _T]]) -> dict[str, list[_T]]:
     return grouped
 
 
-@lru_cache(maxsize=None)
-def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
-    """The augmented event's values, keyed by attribute."""
+def augmented_values(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
+    """The augmented event's values, keyed by attribute.
+
+    Its keys are the attributes the event carries a value at: the root forms
+    of its own attributes, their ancestors, and the mapping outputs.
+    """
     pairs = augment(normalize_event(event, kb), kb).all_pairs()
     return _by_attribute((p.attribute, p.value) for p in pairs)
+
+
+_augmented = lru_cache(maxsize=None)(augmented_values)
 
 
 @lru_cache(maxsize=None)
@@ -172,17 +180,34 @@ def _normalized_sub(sub: Subscription, kb: KnowledgeBase) -> Subscription:
     return normalize_subscription(sub, kb)
 
 
+def carried_attributes(event: Event, kb: KnowledgeBase) -> frozenset[str]:
+    """The attributes of `augmented_values(event, kb)`.
+
+    `sem_match` needs a value at every normalized predicate attribute, so it
+    can hold only if `subscription_attributes(sub, kb)` lies within these.
+    """
+    return frozenset(_augmented(event, kb))
+
+
+def values_satisfy(values: dict[str, list[Value]], sub: Subscription) -> bool:
+    """True iff each predicate holds for some value at its attribute.
+
+    `values` is keyed by attribute, as `augmented_values` returns it, and
+    `sub` is normalized.
+    """
+    for pred in sub.predicates:
+        for value in values.get(pred.attribute, ()):
+            if pred.op.holds(value, pred.value):
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
-    values = _augmented(event, kb)
-    return all(
-        any(
-            pred.op.holds(value, pred.value)
-            for value in values.get(pred.attribute, ())
-        )
-        for pred in _normalized_sub(sub, kb).predicates
-    )
+    return values_satisfy(_augmented(event, kb), _normalized_sub(sub, kb))
 
 
 def pair_sem_matches(pair: Pair, pred: Predicate, kb: KnowledgeBase) -> bool:

@@ -32,10 +32,13 @@ def match_pair(pair: Pair, pred: Predicate) -> bool:
 
 def match_event(event: Event, sub: Subscription) -> bool:
     """True iff every predicate of sub is matched by some pair of event."""
-    return all(
-        any(match_pair(pair, pred) for pair in event.pairs)
-        for pred in sub.predicates
-    )
+    for pred in sub.predicates:
+        for pair in event.pairs:
+            if match_pair(pair, pred):
+                break
+        else:
+            return False
+    return True
 
 
 def determines(adv: Advertisement, event: Event) -> bool:

@@ -281,6 +281,14 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error: ") and "unknown action" in err
 
+    def test_deep_mode_exits_two_with_a_short_message(self, capsys, tmp_path):
+        path = tmp_path / "mode.json"
+        path.write_bytes(b'{"brokers": ["b1"], "mode": ' + b"[" * 900 + b"]" * 900 + b"}")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown mode [[")
+        assert len(err) < 100
+
     def test_non_string_client_id_exits_two(self, capsys, tmp_path):
         doc = {
             "brokers": ["b1"],

@@ -276,6 +276,27 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match="must be integers"):
             load_knowledge(doc(mappings=[bad]))
 
+    @pytest.mark.parametrize(
+        "place, message",
+        [
+            ({"body": {"kind": "const", "value": "DEEP"}}, "unsupported value"),
+            (
+                {"body": {"kind": "const", "value": 1},
+                 "guard": {"attribute": "a", "op": "DEEP", "value": 1}},
+                "unknown guard operator",
+            ),
+            ({"body": {"kind": "DEEP", "input": "a"}}, "unknown mapping body kind"),
+        ],
+        ids=["value", "guard-operator", "body-kind"],
+    )
+    def test_rejected_value_is_quoted_short(self, place, message):
+        # A value nested 900 deep once came back whole, about 1,800 characters.
+        mapping = {"name": "f", "inputs": ["a"], "output": "b", **place}
+        text = json.dumps(doc(mappings=[mapping])).replace('"DEEP"', "[" * 900 + "]" * 900)
+        with pytest.raises(KnowledgeError, match=message) as err:
+            load_knowledge(text)
+        assert len(str(err.value)) < 120
+
 
 class TestRootAndAncestorProperties:
     def test_root_term_idempotent_on_random_kbs(self):

@@ -1,7 +1,7 @@
 import pytest
 
 import semroute.routing
-from semroute.knowledge import KnowledgeBase, SynonymGroup
+from semroute.knowledge import KnowledgeBase, SynonymGroup, load_knowledge
 from semroute.model import parse_advertisement, parse_event, parse_subscription
 from semroute.routing import (
     BrokerState,
@@ -320,6 +320,76 @@ class TestPublish:
         state = self.routed()
         state2, _ = handle_publish(state, EVENT, frm="b1")
         assert state2 is state
+
+
+class TestPublishAttributeGroups:
+    """A publish tests only stored entries whose attributes the event carries:
+    its own attributes' root forms, and semantically also their ancestors
+    and the mapping outputs."""
+
+    KB = load_knowledge(
+        {
+            "synonyms": [
+                {"root": "item", "members": ["article"]},
+                {"root": "book", "members": ["volume"]},
+            ],
+            "hierarchy": [{"child": "book", "parent": "item"}],
+            "mappings": [
+                {"name": "cost", "inputs": ["price"], "output": "cost",
+                 "body": {"kind": "rename", "input": "price"}}
+            ],
+        }
+    )
+    UNRELATED = parse_subscription('(colour = "red")')
+
+    def match_calls(self, monkeypatch):
+        """The subscriptions handed to either match relation, in call order."""
+        calls = []
+        for name in ("sem_match", "match_event"):
+            real = getattr(semroute.routing, name)
+
+            def counting(event, sub, *kb, real=real):
+                calls.append(sub)
+                return real(event, sub, *kb)
+
+            monkeypatch.setattr(semroute.routing, name, counting)
+        return calls
+
+    def publish(self, monkeypatch, mode, stored, event):
+        state = broker(clients=("c1", "c2"), mode=mode, kb=self.KB)
+        state, _ = handle_subscribe(state, self.UNRELATED, frm="c2")
+        state, _ = handle_subscribe(state, stored, frm="c1")
+        calls = self.match_calls(monkeypatch)
+        _, out = handle_publish(state, event, frm="b1")
+        return calls, [(m.kind, m.to) for m in out]
+
+    @pytest.mark.parametrize(
+        "stored",
+        ["(book >= 5)", "(item >= 5)", "(article >= 5)", "(cost >= 5)"],
+        ids=["synonym", "ancestor", "synonym-of-ancestor", "mapping-output"],
+    )
+    def test_semantic_entry_on_a_carried_attribute_is_tested(self, monkeypatch, stored):
+        sub = parse_subscription(stored)
+        event = parse_event("{(volume, 7), (price, 9)}")
+        calls, out = self.publish(monkeypatch, RoutingMode.SEMANTIC, sub, event)
+        assert calls == [sub]
+        assert out == [(MessageKind.NOTIFY, "c1")]
+
+    def test_syntactic_entry_on_the_event_attribute_is_tested(self, monkeypatch):
+        # Groups are keyed by root form, so `volume` is found under `book`.
+        sub = parse_subscription("(volume >= 5)")
+        event = parse_event("{(volume, 7), (price, 9)}")
+        calls, out = self.publish(monkeypatch, RoutingMode.SYNTACTIC, sub, event)
+        assert calls == [sub]
+        assert out == [(MessageKind.NOTIFY, "c1")]
+
+    @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+    def test_entry_on_an_absent_attribute_is_not_tested(self, monkeypatch, mode):
+        sub = parse_subscription("(volume >= 5) AND (weight <= 3)")
+        event = parse_event("{(volume, 7), (price, 9)}")
+        calls, out = self.publish(monkeypatch, mode, sub, event)
+        assert calls == []
+        assert out == []
 
 
 class TestHandleMessage:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from semroute.routing import RoutingMode
+from semroute.knowledge import KnowledgeBase
+from semroute.routing import MessageKind, RoutingMode
 from semroute.semantic import sem_match
 from semroute.sim import (
     Scenario,
@@ -217,6 +218,15 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="unknown mode"):
             load_scenario(minimal_doc(mode="clairvoyant"))
 
+    def test_rejected_action_is_quoted_short(self):
+        # The CLI test of a deep `mode` checks the other value quoted.
+        doc = minimal_doc()
+        doc["script"][0]["action"] = "DEEP"
+        text = json.dumps(doc).replace('"DEEP"', "[" * 900 + "]" * 900)
+        with pytest.raises(ScenarioError, match=r"unknown action \[\[") as err:
+            load_scenario(text)
+        assert len(str(err.value)) < 100
+
     def test_bad_seed(self):
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(minimal_doc(seed="lucky"))
@@ -375,6 +385,51 @@ class TestGeneratedScenarios:
             syn = oracle_deliveries(scenario.with_mode(RoutingMode.SYNTACTIC))
             sem = oracle_deliveries(scenario.with_mode(RoutingMode.SEMANTIC))
             assert syn <= sem, seed
+
+
+def _per_pair_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
+    """Every (subscriber, event) pair tested with one `sem_match` call over
+    the mode's knowledge base."""
+    kb = scenario.kb if scenario.mode is RoutingMode.SEMANTIC else KnowledgeBase.empty()
+    subscribed = []
+    expected = set()
+    for action in scenario.script:
+        if action.kind is MessageKind.SUBSCRIBE:
+            subscribed.append(action)
+        elif action.kind is MessageKind.PUBLISH:
+            expected |= {
+                (s.frm, action.index)
+                for s in subscribed
+                if sem_match(action.payload, s.payload, kb)
+            }
+    return expected
+
+
+def _referee_cases(scenario_dir):
+    for name in ("gap.json", "professor_local.json", "professor_remote.json"):
+        raw = (scenario_dir / name).read_bytes()
+        yield name, load_scenario(raw, base_dir=scenario_dir)
+    for seed in range(100):
+        yield f"seed {seed}", generate_scenario(seed)
+
+
+class TestOracleReferee:
+    """The oracle equals a per-pair `sem_match` in both modes, and it
+    neither reads nor fills `sem_match`'s memo."""
+
+    @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+    def test_oracle_equals_per_pair_sem_match_with_the_memo_empty(
+        self, scenario_dir, mode
+    ):
+        delivered = 0
+        for name, scenario in _referee_cases(scenario_dir):
+            scenario = scenario.with_mode(mode)
+            expected = _per_pair_deliveries(scenario)
+            sem_match.cache_clear()
+            assert oracle_deliveries(scenario) == expected, name
+            assert sem_match.cache_info().currsize == 0, name
+            delivered += len(expected)
+        assert delivered > 0
 
 
 class TestTrafficKnobs:
