@@ -27,7 +27,6 @@ from .model import (
     render,
     render_pair,
 )
-from .routing import RoutingMode
 from .semantic import (
     augment,
     normalize_event,
@@ -37,6 +36,7 @@ from .semantic import (
     sem_match,
 )
 from .sim import (
+    RoutingMode,
     ScenarioError,
     Verdict,
     load_scenario,

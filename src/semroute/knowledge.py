@@ -48,7 +48,7 @@ class MappingEvaluationError(RuntimeError):
     """Raised when a mapping body cannot produce a representable value."""
 
     def __init__(self, function_name: str, detail: str):
-        super().__init__(f"mapping {function_name!r}: {detail}")
+        super().__init__(f"mapping {excerpt(function_name)}: {detail}")
         self.function_name = function_name
 
 
@@ -110,6 +110,7 @@ class KnowledgeBase:
         self.hierarchy = tuple(hierarchy)
         self.mappings = tuple(mappings)
         self.reference_year = int(reference_year)
+        self.is_empty = not (self.synonyms or self.hierarchy or self.mappings)
         self._root: dict[str, str] = {}
         self._parent: dict[str, str] = {}
         self._ancestors: dict[str, tuple[str, ...]] = {}
@@ -121,23 +122,23 @@ class KnowledgeBase:
         for group in self.synonyms:
             if group.root in group.members:
                 raise KnowledgeError(
-                    f"synonym root {group.root!r} listed among its members"
+                    f"synonym root {excerpt(group.root)} listed among its members"
                 )
             for term in (group.root, *sorted(group.members)):
                 if term in self._root:
-                    raise KnowledgeError(f"term {term!r} in two synonym groups")
+                    raise KnowledgeError(f"term {excerpt(term)} in two synonym groups")
                 self._root[term] = group.root
 
         for child, parent in self.hierarchy:
             for term in (child, parent):
                 if self.root_term(term) != term:
                     raise KnowledgeError(
-                        f"hierarchy term {term!r} is not in root form"
+                        f"hierarchy term {excerpt(term)} is not in root form"
                     )
             if child == parent:
-                raise KnowledgeError(f"self-edge on {child!r}")
+                raise KnowledgeError(f"self-edge on {excerpt(child)}")
             if child in self._parent:
-                raise KnowledgeError(f"term {child!r} has multiple parents")
+                raise KnowledgeError(f"term {excerpt(child)} has multiple parents")
             self._parent[child] = parent
         for start in self._parent:
             seen = {start}
@@ -146,26 +147,26 @@ class KnowledgeBase:
             while node in self._parent:
                 node = self._parent[node]
                 if node in seen:
-                    raise KnowledgeError(f"hierarchy cycle through {node!r}")
+                    raise KnowledgeError(f"hierarchy cycle through {excerpt(node)}")
                 seen.add(node)
                 chain.append(node)
             self._ancestors[start] = tuple(chain)
 
         for f in self.mappings:
             if not f.inputs:
-                raise KnowledgeError(f"mapping {f.name!r} has no inputs")
+                raise KnowledgeError(f"mapping {excerpt(f.name)} has no inputs")
             if len(set(f.inputs)) != len(f.inputs):
-                raise KnowledgeError(f"mapping {f.name!r} repeats an input")
+                raise KnowledgeError(f"mapping {excerpt(f.name)} repeats an input")
             if f.output in f.inputs:
                 raise KnowledgeError(
-                    f"mapping {f.name!r} output is also an input"
+                    f"mapping {excerpt(f.name)} output is also an input"
                 )
             for attr in (*f.inputs, f.output):
                 self._require_root_form(f.name, attr)
             if f.guard is not None:
                 if f.guard.attribute not in f.inputs:
                     raise KnowledgeError(
-                        f"mapping {f.name!r} guard attribute is not an input"
+                        f"mapping {excerpt(f.name)} guard attribute is not an input"
                     )
                 self._require_root_form(f.name, f.guard.attribute)
                 if f.guard.value.is_string:
@@ -173,7 +174,7 @@ class KnowledgeBase:
             if isinstance(f.body, (Rename, Linear, YearsSince)):
                 if f.body.input not in f.inputs:
                     raise KnowledgeError(
-                        f"mapping {f.name!r} body input is not a declared input"
+                        f"mapping {excerpt(f.name)} body input is not a declared input"
                     )
             if isinstance(f.body, Const) and f.body.value.is_string:
                 self._require_root_form(f.name, f.body.value.data)
@@ -181,13 +182,13 @@ class KnowledgeBase:
                 for n in (f.body.scale, f.body.offset):
                     if not (INT_MIN <= n <= INT_MAX):
                         raise KnowledgeError(
-                            f"mapping {f.name!r} coefficient out of range"
+                            f"mapping {excerpt(f.name)} coefficient out of range"
                         )
 
     def _require_root_form(self, owner: str, term: str) -> None:
         if self.root_term(term) != term:
             raise KnowledgeError(
-                f"mapping {owner!r} uses non-root term {term!r}"
+                f"mapping {excerpt(owner)} uses non-root term {excerpt(term)}"
             )
 
     @classmethod
@@ -324,7 +325,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     known = {"synonyms", "hierarchy", "mappings", "reference_year"}
     unknown = set(data) - known
     if unknown:
-        raise KnowledgeError(f"unknown keys: {sorted(unknown)}")
+        raise KnowledgeError(f"unknown keys: {excerpt(sorted(unknown))}")
 
     groups = []
     for i, raw in enumerate(_list_field(data, "synonyms")):
@@ -363,6 +364,8 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
             body_raw = raw["body"]
         except KeyError as missing:
             raise KnowledgeError(f"{where}: missing key {missing}") from None
+        if not isinstance(name, str) or not name:
+            raise KnowledgeError(f"{where}: name must be a non-empty string")
         if not isinstance(inputs, list) or not all(
             isinstance(a, str) and a for a in inputs
         ):
@@ -370,7 +373,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         guard = _parse_guard(raw["guard"], where) if "guard" in raw else None
         mappings.append(
             MappingFunction(
-                name=str(name),
+                name=name,
                 inputs=tuple(a.lower() for a in inputs),
                 guard=guard,
                 output=_term(output, where, "output"),

@@ -19,8 +19,9 @@ subscription's nor an ancestor of one cannot cover it.  A publish tests
 only the groups whose attributes the event carries: a subscription naming
 an attribute at which the (augmented) event has no value cannot match it.
 Outgoing messages follow the order of the broker's clients and neighbors,
-not the walk, so a run replays deterministically.  The relation set
-(syntactic or semantic) is fixed per broker by `RoutingMode`.
+not the walk, so a run replays deterministically.  An empty knowledge base
+(no synonyms, hierarchy or mappings) selects the syntactic relations, which
+equal the semantic ones over it; any other selects the semantic ones.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ from .syntactic import covers, intersects, match_event
 
 class RoutingError(ValueError):
     """Raised for messages that violate the broker's link topology."""
-
-
-class RoutingMode(enum.Enum):
-    SYNTACTIC = "syntactic"
-    SEMANTIC = "semantic"
 
 
 class MessageKind(enum.Enum):
@@ -87,8 +83,8 @@ class BrokerState:
     id: str
     neighbors: tuple[str, ...]
     clients: tuple[str, ...]
+    # The relations' knowledge base; an empty one selects the syntactic ones.
     kb: KnowledgeBase
-    mode: RoutingMode
     subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
     # The same entries grouped by `subscription_attributes`, in arrival order
     # within each group; the covering and publish walks read these.
@@ -108,30 +104,26 @@ class BrokerState:
             raise RoutingError(f"broker {self.id!r} has no link {link!r}")
 
     def _covers(self, s1: Subscription, s2: Subscription) -> bool:
-        if self.mode is RoutingMode.SEMANTIC:
-            return sem_covers(s1, s2, self.kb)
-        return covers(s1, s2)
+        if self.kb.is_empty:
+            return covers(s1, s2)
+        return sem_covers(s1, s2, self.kb)
 
     def _intersects(self, adv: Advertisement, sub: Subscription) -> bool:
-        if self.mode is RoutingMode.SEMANTIC:
-            return sem_intersects(adv, sub, self.kb)
-        return intersects(adv, sub)
+        if self.kb.is_empty:
+            return intersects(adv, sub)
+        return sem_intersects(adv, sub, self.kb)
 
     def _carried(self, event: Event) -> frozenset[str]:
-        """Root-form attributes at which `_matches` can find a value.
-
-        Semantically, the augmented event's attributes.  Syntactic matching
-        needs literal attribute inclusion, which root forms preserve, so
-        there the root forms of the event's own attributes suffice.
-        """
-        if self.mode is RoutingMode.SEMANTIC:
-            return carried_attributes(event, self.kb)
-        return frozenset(self.kb.root_term(p.attribute) for p in event.pairs)
+        """Attributes at which `_matches` can find a value: the event's own
+        under an empty knowledge base, else the augmented event's."""
+        if self.kb.is_empty:
+            return frozenset(p.attribute for p in event.pairs)
+        return carried_attributes(event, self.kb)
 
     def _matches(self, event: Event, sub: Subscription) -> bool:
-        if self.mode is RoutingMode.SEMANTIC:
-            return sem_match(event, sub, self.kb)
-        return match_event(event, sub)
+        if self.kb.is_empty:
+            return match_event(event, sub)
+        return sem_match(event, sub, self.kb)
 
 
 def handle_advertise(

@@ -293,9 +293,7 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     An s1 predicate is implied only by an s2 predicate on a descendant of
     (or the same) attribute, so s1 can cover s2 only if
     `subscription_attributes(s1, kb)` lies within
-    `attribute_reach(subscription_attributes(s2, kb), kb)`.  Syntactic
-    `covers` needs literal attribute inclusion, which root forms preserve,
-    so the same test is necessary for it under any knowledge base.
+    `attribute_reach(subscription_attributes(s2, kb), kb)`.
     """
     n1 = _normalized_sub(s1, kb)
     n2 = _normalized_sub(s2, kb)

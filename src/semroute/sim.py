@@ -19,7 +19,7 @@ A scenario file is a JSON object:
 Ids and script payloads are non-empty JSON strings; payloads use the entity
 text grammar.  The loader checks that the edges form a tree, that every
 reference resolves, and that each publish is preceded by an advertisement
-from the same client that admits the event under the scenario's mode.  It
+from the same client that admits the event over `relation_knowledge`.  It
 keeps each broker's neighbours and each client's home broker, and resolves
 each action to its first message: the parsed payload sent by the client to
 its home broker.
@@ -53,13 +53,7 @@ from .model import (
     parse_event,
     parse_subscription,
 )
-from .routing import (
-    BrokerState,
-    Message,
-    MessageKind,
-    RoutingMode,
-    handle_message,
-)
+from .routing import BrokerState, Message, MessageKind, handle_message
 from .semantic import (
     augmented_values,
     normalize_subscription,
@@ -82,8 +76,20 @@ class Verdict(enum.Enum):
     MAPPING_GAP = "MAPPING_GAP"
 
 
+class RoutingMode(enum.Enum):
+    SYNTACTIC = "syntactic"
+    SEMANTIC = "semantic"
+
+
+def relation_knowledge(mode: RoutingMode, kb: KnowledgeBase) -> KnowledgeBase:
+    """The relations' knowledge base: `kb` semantically, empty syntactically."""
+    return kb if mode is RoutingMode.SEMANTIC else KnowledgeBase.empty()
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario; its relations use `relation_knowledge(mode, kb)`."""
+
     brokers: tuple[str, ...]
     # Each broker's neighbour brokers, sorted.
     neighbors: dict[str, tuple[str, ...]]
@@ -151,6 +157,8 @@ class SimReport:
 
 
 def _require(condition: bool, message: str) -> None:
+    """For fixed messages: one quoting input is raised where it is formatted,
+    so that it is formatted only when the input is rejected."""
     if not condition:
         raise ScenarioError(message)
 
@@ -175,8 +183,10 @@ def _tree(
     _require(len(edges) == len(brokers) - 1, "edges must form a tree")
     adjacency: dict[str, list[str]] = {b: [] for b in brokers}
     for a, b in edges:
-        _require(a in adjacency and b in adjacency, f"edge ({a}, {b}) off the broker set")
-        _require(a != b, f"self-edge on {a!r}")
+        if a not in adjacency or b not in adjacency:
+            raise ScenarioError(f"edge ({excerpt(a)}, {excerpt(b)}) off the broker set")
+        if a == b:
+            raise ScenarioError(f"self-edge on {excerpt(a)}")
         adjacency[a].append(b)
         adjacency[b].append(a)
     seen = {brokers[0]}
@@ -212,7 +222,8 @@ def load_scenario(
     _require(isinstance(data, dict), "scenario must be a JSON object")
     known = {"brokers", "edges", "clients", "knowledge", "mode", "seed", "script"}
     unknown = set(data) - known
-    _require(not unknown, f"unknown keys: {sorted(unknown)}")
+    if unknown:
+        raise ScenarioError(f"unknown keys: {excerpt(sorted(unknown))}")
 
     brokers = tuple(_name(b, "broker id") for b in _list_field(data, "brokers"))
     _require(len(brokers) > 0, "at least one broker required")
@@ -228,15 +239,19 @@ def load_scenario(
     )
 
     clients: dict[str, str] = {}
-    for raw in _list_field(data, "clients"):
+    for i, raw in enumerate(_list_field(data, "clients")):
         _require(
             isinstance(raw, dict) and "id" in raw and "broker" in raw,
             "clients need id and broker",
         )
         cid = _name(raw["id"], "client id")
-        broker = _name(raw["broker"], f"client {cid!r} broker")
-        _require(broker in neighbors, f"client {cid!r} on unknown broker {broker!r}")
-        _require(cid not in neighbors, f"client id {cid!r} collides with a broker")
+        broker = _name(raw["broker"], f"clients[{i}]: broker")
+        if broker not in neighbors:
+            raise ScenarioError(
+                f"client {excerpt(cid)} on unknown broker {excerpt(broker)}"
+            )
+        if cid in neighbors:
+            raise ScenarioError(f"client id {excerpt(cid)} collides with a broker")
         _require(cid not in clients, "duplicate client id")
         clients[cid] = broker
 
@@ -264,8 +279,7 @@ def load_scenario(
         mode = RoutingMode(mode_text)
     except ValueError:
         raise ScenarioError(f"unknown mode {excerpt(mode_text)}") from None
-    # Publishes are admitted under the declared mode's relation set.
-    admission_kb = kb if mode is RoutingMode.SEMANTIC else KnowledgeBase.empty()
+    admission_kb = relation_knowledge(mode, kb)
 
     seed = data.get("seed")
     if seed is not None:
@@ -290,11 +304,10 @@ def load_scenario(
         )
         action = raw["action"]
         if not (isinstance(action, str) and action in parsers):
-            # Raised here, not through `_require`, so the value is quoted
-            # only when it is rejected.
             raise ScenarioError(f"{where}: unknown action {excerpt(action)}")
         client = _name(raw["client"], f"{where}: client")
-        _require(client in clients, f"{where}: unknown client {client!r}")
+        if client not in clients:
+            raise ScenarioError(f"{where}: unknown client {excerpt(client)}")
         text = _name(raw["payload"], f"{where}: payload")
         kind, parser = parsers[action]
         try:
@@ -303,15 +316,14 @@ def load_scenario(
             raise ScenarioError(f"{where}: {err}") from None
         index = None
         if kind is MessageKind.PUBLISH:
-            admitted = any(
+            if not any(
                 sem_determines(adv, payload, admission_kb)
                 for adv in advertised[client]
-            )
-            _require(
-                admitted,
-                f"{where}: publish by {client!r} not admitted by any of its"
-                " prior advertisements",
-            )
+            ):
+                raise ScenarioError(
+                    f"{where}: publish by {excerpt(client)} not admitted by any"
+                    " of its prior advertisements"
+                )
             index = publish_count
             publish_count += 1
         elif kind is MessageKind.ADVERTISE:
@@ -338,13 +350,13 @@ def run(
     homed: dict[str, list[str]] = {b: [] for b in scenario.brokers}
     for cid in sorted(scenario.clients):
         homed[scenario.clients[cid]].append(cid)
+    kb = relation_knowledge(scenario.mode, scenario.kb)
     states = {
         b: BrokerState(
             id=b,
             neighbors=peers,
             clients=tuple(homed[b]),
-            kb=scenario.kb,
-            mode=scenario.mode,
+            kb=kb,
             covering_suppression=covering_suppression,
             advertisement_gating=advertisement_gating,
         )
@@ -388,14 +400,13 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     """Reference delivery set from a single matcher holding every subscription.
 
     Topology-free: a published event is due at every client whose earlier
-    subscription matches under the scenario's mode, that is over the
-    scenario's knowledge base semantically and over the empty one
-    syntactically.  Each subscription is normalized once, when it becomes
-    active, and each event augmented once; a subscription is tested only if
-    the event carries all its attributes.  The oracle keeps no state between
+    subscription matches semantically over `relation_knowledge`, that is over
+    the empty knowledge base in syntactic mode.  Each subscription is
+    normalized once, when it becomes active, and each event augmented once; a
+    subscription is tested only if the event carries all its attributes.  The oracle keeps no state between
     calls and reads none of the memo caches routing fills.
     """
-    kb = scenario.kb if scenario.mode is RoutingMode.SEMANTIC else KnowledgeBase.empty()
+    kb = relation_knowledge(scenario.mode, scenario.kb)
     active: list[tuple[str, frozenset[str], Subscription]] = []
     expected: set[tuple[str, int]] = set()
     for action in scenario.script:
@@ -420,11 +431,13 @@ def _mapping_explains(
     Every subscription of the client that matches the event must stop
     matching once mappings are removed; then no relation-driven forwarding
     decision could have routed the event, which is the documented blind spot
-    rather than a routing defect.
+    rather than a routing defect.  Syntactic mode, which has no mappings,
+    never explains one.
     """
-    if scenario.mode is not RoutingMode.SEMANTIC or not scenario.kb.mappings:
+    kb = relation_knowledge(scenario.mode, scenario.kb)
+    if not kb.mappings:
         return False
-    bare = scenario.kb.without_mappings()
+    bare = kb.without_mappings()
     event = None
     active: list[Subscription] = []
     for action in scenario.script:
@@ -434,7 +447,7 @@ def _mapping_explains(
             event = action.payload
             break
     assert event is not None
-    matching = [s for s in active if sem_match(event, s, scenario.kb)]
+    matching = [s for s in active if sem_match(event, s, kb)]
     return bool(matching) and all(
         not sem_match(event, s, bare) for s in matching
     )

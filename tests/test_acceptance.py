@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from semroute.cli import main
 from semroute.knowledge import KnowledgeBase
 from semroute.model import parse_event, parse_subscription
-from semroute.routing import RoutingMode
+from semroute.sim import RoutingMode
 from semroute.semantic import (
     normalize_advertisement,
     normalize_subscription,

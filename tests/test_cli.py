@@ -136,8 +136,10 @@ class TestMatchCommand:
             {"mappings": [{"name": "f", "inputs": ["a"], "output": "b",
                            "body": {"kind": "linear", "input": "a",
                                     "scale": 1.5, "offset": "3"}}]},
+            {"mappings": [{"name": 5, "inputs": ["a"], "output": "b",
+                           "body": {"kind": "rename", "input": "a"}}]},
         ],
-        ids=["empty-root", "empty-parent", "linear-not-integers"],
+        ids=["empty-root", "empty-parent", "linear-not-integers", "mapping-name"],
     )
     def test_malformed_knowledge_terms_exit_two(self, capsys, tmp_path, document):
         kb_path = tmp_path / "kb.json"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from semroute.routing import RoutingMode
+from semroute.sim import RoutingMode
 from semroute.sim import Scenario, generate_scenario, load_scenario, verify
 
 from .conftest import SCENARIOS

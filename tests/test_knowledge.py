@@ -297,6 +297,62 @@ class TestLoaderValidation:
             load_knowledge(text)
         assert len(str(err.value)) < 120
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"LONG": 1}, "unknown keys"),
+            ({"synonyms": [{"root": "LONG", "members": ["LONG"]}]}, "its members"),
+            (
+                {"synonyms": [{"root": "LONG", "members": ["a"]},
+                              {"root": "LONG", "members": ["b"]}]},
+                "two synonym groups",
+            ),
+            (
+                {"synonyms": [{"root": "v", "members": ["LONG"]}],
+                 "hierarchy": [{"child": "LONG", "parent": "a"}]},
+                "not in root form",
+            ),
+            ({"hierarchy": [{"child": "LONG", "parent": "LONG"}]}, "self-edge"),
+            (
+                {"hierarchy": [{"child": "LONG", "parent": "a"},
+                               {"child": "LONG", "parent": "b"}]},
+                "multiple parents",
+            ),
+            (
+                {"hierarchy": [{"child": "LONG", "parent": "a"},
+                               {"child": "a", "parent": "LONG"}]},
+                "cycle",
+            ),
+            (
+                {"mappings": [{"name": "LONG", "inputs": [], "output": "b",
+                               "body": {"kind": "const", "value": 1}}]},
+                "has no inputs",
+            ),
+            (
+                {"synonyms": [{"root": "v", "members": ["LONG"]}],
+                 "mappings": [{"name": "LONG", "inputs": ["LONG"], "output": "b",
+                               "body": {"kind": "const", "value": 1}}]},
+                "non-root term",
+            ),
+        ],
+        ids=["key", "root-member", "two-groups", "hierarchy-root-form", "self-edge",
+             "parents", "cycle", "mapping-name", "mapping-term"],
+    )
+    def test_long_value_is_quoted_short(self, overrides, message):
+        text = json.dumps(doc(**overrides)).replace("LONG", "x" * 5000)
+        with pytest.raises(KnowledgeError, match=message) as err:
+            load_knowledge(text)
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize(
+        "name", [5, None, [1, 2], ""], ids=["int", "null", "list", "empty"]
+    )
+    def test_mapping_name_must_be_a_non_empty_string(self, name):
+        mapping = {"name": name, "inputs": ["a"], "output": "b",
+                   "body": {"kind": "rename", "input": "a"}}
+        with pytest.raises(KnowledgeError, match="name must be a non-empty string"):
+            load_knowledge(doc(mappings=[mapping]))
+
 
 class TestRootAndAncestorProperties:
     def test_root_term_idempotent_on_random_kbs(self):

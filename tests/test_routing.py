@@ -8,12 +8,12 @@ from semroute.routing import (
     Message,
     MessageKind,
     RoutingError,
-    RoutingMode,
     handle_advertise,
     handle_message,
     handle_publish,
     handle_subscribe,
 )
+from semroute.sim import load_scenario, run
 
 ADV = parse_advertisement('(product = "computer") AND (brand = "IBM") AND (price <= 1500)')
 SUB_WIDE = parse_subscription('(product = "computer") AND (brand = "IBM") AND (price <= 1600)')
@@ -25,16 +25,16 @@ def broker(
     broker_id="b2",
     neighbors=("b1", "b3"),
     clients=("c1",),
-    mode=RoutingMode.SYNTACTIC,
     kb=None,
     **flags,
 ) -> BrokerState:
+    """A broker whose relations use `kb`; the default, empty knowledge base
+    selects the syntactic relations."""
     return BrokerState(
         id=broker_id,
         neighbors=tuple(neighbors),
         clients=tuple(clients),
         kb=kb if kb is not None else KnowledgeBase.empty(),
-        mode=mode,
         **flags,
     )
 
@@ -143,7 +143,7 @@ class TestSubscribeSuppression:
     def test_semantic_covering_suppresses(self, example_kb):
         adv = parse_advertisement('(product = "printed material") AND (price >= 0)')
         state, _ = handle_advertise(
-            broker(mode=RoutingMode.SEMANTIC, kb=example_kb), adv, frm="b1"
+            broker(kb=example_kb), adv, frm="b1"
         )
         general = parse_subscription('(product = "printed material")')
         specific = parse_subscription('(product = "book")')
@@ -258,7 +258,7 @@ class TestSubscribeAttributeGroups:
     def test_related_attribute_suppresses(self, stored):
         adv = parse_advertisement("(book >= 0) AND (price >= 0)")
         state, _ = handle_advertise(
-            broker(mode=RoutingMode.SEMANTIC, kb=self.KB), adv, frm="b1"
+            broker(kb=self.KB), adv, frm="b1"
         )
         state, first = handle_subscribe(state, parse_subscription(stored), frm="c1")
         assert [m.to for m in first] == ["b1"]
@@ -269,8 +269,8 @@ class TestSubscribeAttributeGroups:
 
 
 class TestPublish:
-    def routed(self, mode=RoutingMode.SYNTACTIC, kb=None):
-        state = broker(clients=("c1", "c2"), mode=mode, kb=kb)
+    def routed(self):
+        state = broker(clients=("c1", "c2"))
         state, _ = handle_advertise(state, ADV, frm="b1")
         return state
 
@@ -307,7 +307,7 @@ class TestPublish:
         assert [(m.kind, m.to) for m in out] == [(MessageKind.NOTIFY, "c1")]
 
     def test_semantic_mode_notifies_through_the_hierarchy(self, example_kb):
-        state = broker(mode=RoutingMode.SEMANTIC, kb=example_kb)
+        state = broker(kb=example_kb)
         adv = parse_advertisement('(product = "printed material") AND (price >= 10)')
         state, _ = handle_advertise(state, adv, frm="b1")
         sub = parse_subscription('(product = "book") AND (price <= 20)')
@@ -324,22 +324,21 @@ class TestPublish:
 
 class TestPublishAttributeGroups:
     """A publish tests only stored entries whose attributes the event carries:
-    its own attributes' root forms, and semantically also their ancestors
-    and the mapping outputs."""
+    under an empty knowledge base its own attributes, and otherwise their
+    root forms and ancestors and the mapping outputs."""
 
-    KB = load_knowledge(
-        {
-            "synonyms": [
-                {"root": "item", "members": ["article"]},
-                {"root": "book", "members": ["volume"]},
-            ],
-            "hierarchy": [{"child": "book", "parent": "item"}],
-            "mappings": [
-                {"name": "cost", "inputs": ["price"], "output": "cost",
-                 "body": {"kind": "rename", "input": "price"}}
-            ],
-        }
-    )
+    KNOWLEDGE = {
+        "synonyms": [
+            {"root": "item", "members": ["article"]},
+            {"root": "book", "members": ["volume"]},
+        ],
+        "hierarchy": [{"child": "book", "parent": "item"}],
+        "mappings": [
+            {"name": "cost", "inputs": ["price"], "output": "cost",
+             "body": {"kind": "rename", "input": "price"}}
+        ],
+    }
+    KB = load_knowledge(KNOWLEDGE)
     UNRELATED = parse_subscription('(colour = "red")')
 
     def match_calls(self, monkeypatch):
@@ -355,8 +354,8 @@ class TestPublishAttributeGroups:
             monkeypatch.setattr(semroute.routing, name, counting)
         return calls
 
-    def publish(self, monkeypatch, mode, stored, event):
-        state = broker(clients=("c1", "c2"), mode=mode, kb=self.KB)
+    def publish(self, monkeypatch, kb, stored, event):
+        state = broker(clients=("c1", "c2"), kb=kb)
         state, _ = handle_subscribe(state, self.UNRELATED, frm="c2")
         state, _ = handle_subscribe(state, stored, frm="c1")
         calls = self.match_calls(monkeypatch)
@@ -371,23 +370,42 @@ class TestPublishAttributeGroups:
     def test_semantic_entry_on_a_carried_attribute_is_tested(self, monkeypatch, stored):
         sub = parse_subscription(stored)
         event = parse_event("{(volume, 7), (price, 9)}")
-        calls, out = self.publish(monkeypatch, RoutingMode.SEMANTIC, sub, event)
+        calls, out = self.publish(monkeypatch, self.KB, sub, event)
         assert calls == [sub]
         assert out == [(MessageKind.NOTIFY, "c1")]
 
-    def test_syntactic_entry_on_the_event_attribute_is_tested(self, monkeypatch):
-        # Groups are keyed by root form, so `volume` is found under `book`.
-        sub = parse_subscription("(volume >= 5)")
-        event = parse_event("{(volume, 7), (price, 9)}")
-        calls, out = self.publish(monkeypatch, RoutingMode.SYNTACTIC, sub, event)
-        assert calls == [sub]
-        assert out == [(MessageKind.NOTIFY, "c1")]
+    def test_syntactic_run_consults_no_synonyms(self, monkeypatch):
+        # The scenario's knowledge makes `volume` a synonym of `book`, but a
+        # syntactic run routes over the empty knowledge base: `(book >= 5)`
+        # is grouped under `book` and never tested against a `volume` event,
+        # while `(volume >= 5)` is.
+        scenario = load_scenario(
+            {
+                "brokers": ["b1"],
+                "clients": [
+                    {"id": "pub", "broker": "b1"},
+                    {"id": "s1", "broker": "b1"},
+                    {"id": "s2", "broker": "b1"},
+                ],
+                "knowledge": self.KNOWLEDGE,
+                "mode": "syntactic",
+                "script": [
+                    {"action": "advertise", "client": "pub", "payload": "(volume >= 0)"},
+                    {"action": "subscribe", "client": "s1", "payload": "(book >= 5)"},
+                    {"action": "subscribe", "client": "s2", "payload": "(volume >= 5)"},
+                    {"action": "publish", "client": "pub", "payload": "{(volume, 7)}"},
+                ],
+            }
+        )
+        calls = self.match_calls(monkeypatch)
+        assert run(scenario).deliveries == (("s2", 0),)
+        assert calls == [scenario.script[2].payload]
 
-    @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
-    def test_entry_on_an_absent_attribute_is_not_tested(self, monkeypatch, mode):
+    @pytest.mark.parametrize("kb", [None, KB], ids=["syntactic", "semantic"])
+    def test_entry_on_an_absent_attribute_is_not_tested(self, monkeypatch, kb):
         sub = parse_subscription("(volume >= 5) AND (weight <= 3)")
         event = parse_event("{(volume, 7), (price, 9)}")
-        calls, out = self.publish(monkeypatch, mode, sub, event)
+        calls, out = self.publish(monkeypatch, kb, sub, event)
         assert calls == []
         assert out == []
 

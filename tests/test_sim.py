@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import semroute.routing
 from semroute.knowledge import KnowledgeBase
-from semroute.routing import MessageKind, RoutingMode
+from semroute.routing import MessageKind
 from semroute.semantic import sem_match
 from semroute.sim import (
+    RoutingMode,
     Scenario,
     ScenarioError,
     Verdict,
@@ -227,6 +229,38 @@ class TestLoadValidation:
             load_scenario(text)
         assert len(str(err.value)) < 100
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d, v: d.update({v: 1}), "unknown keys"),
+            (lambda d, v: d.update(edges=[["b1", v]]), "off the broker set"),
+            (lambda d, v: d.update(brokers=[v, "b2"], edges=[[v, v]]), "self-edge"),
+            (lambda d, v: d["clients"][0].update(id=v, broker=v), "unknown broker"),
+            (lambda d, v: d["clients"][0].update(id=v, broker=5), "broker must be"),
+            (
+                lambda d, v: d.update(brokers=[v, "b2"], edges=[[v, "b2"]],
+                                      clients=[{"id": v, "broker": "b2"}]),
+                "collides",
+            ),
+            (lambda d, v: d["script"][0].update(client=v), "unknown client"),
+            (
+                lambda d, v: (d["clients"].append({"id": v, "broker": "b1"}),
+                              d["script"][3].update(client=v)),
+                "not admitted",
+            ),
+            (lambda d, v: d.update(mode=v), "unknown mode"),
+            (lambda d, v: d["script"][0].update(action=v), "unknown action"),
+        ],
+        ids=["key", "edge", "self-edge", "client-broker", "client-id",
+             "collision", "script-client", "publisher", "mode", "action"],
+    )
+    def test_long_value_is_quoted_short(self, edit, message):
+        doc = minimal_doc()
+        edit(doc, "x" * 5000)
+        with pytest.raises(ScenarioError, match=message) as err:
+            load_scenario(doc)
+        assert len(str(err.value)) < 200
+
     def test_bad_seed(self):
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(minimal_doc(seed="lucky"))
@@ -385,6 +419,42 @@ class TestGeneratedScenarios:
             syn = oracle_deliveries(scenario.with_mode(RoutingMode.SYNTACTIC))
             sem = oracle_deliveries(scenario.with_mode(RoutingMode.SEMANTIC))
             assert syn <= sem, seed
+
+
+class TestEmptyKnowledge:
+    """A knowledge base with no synonyms, hierarchy or mappings selects the
+    syntactic relations, in semantic mode too."""
+
+    def relation_calls(self, monkeypatch):
+        calls = []
+        for name in ("sem_covers", "sem_intersects", "sem_match"):
+            real = getattr(semroute.routing, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(semroute.routing, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "knowledge", [{}, {"reference_year": 2003}], ids=["empty", "year-only"]
+    )
+    def test_semantic_run_makes_no_semantic_calls(self, monkeypatch, knowledge):
+        calls = self.relation_calls(monkeypatch)
+        delivered = 0
+        for seed in range(20):
+            doc = dict(random_scenario_document(seed), knowledge=knowledge)
+            semantic = load_scenario(dict(doc, mode="semantic"))
+            got = run(semantic)
+            want = run(semantic.with_mode(RoutingMode.SYNTACTIC))
+            assert calls == [], seed
+            assert got.deliveries == want.deliveries, seed
+            assert got.counts == want.counts, seed
+            assert got.suppressed_subscriptions == want.suppressed_subscriptions, seed
+            assert got.gated_subscriptions == want.gated_subscriptions, seed
+            delivered += len(got.deliveries)
+        assert delivered > 0
 
 
 def _per_pair_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
