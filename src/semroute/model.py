@@ -289,7 +289,7 @@ class _Parser:
     def expect_eof(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.position)
+            raise ParseError(f"unexpected trailing input {excerpt(tok.text)}", tok.position)
 
     def attribute(self) -> str:
         tok = self.peek()
@@ -367,7 +367,7 @@ def parse_event(text: str) -> Event:
     seen = set()
     for p in pairs:
         if p.attribute in seen:
-            raise ParseError(f"duplicate attribute {p.attribute!r}", 0)
+            raise ParseError(f"duplicate attribute {excerpt(p.attribute)}", 0)
         seen.add(p.attribute)
     return Event(tuple(pairs))
 

@@ -24,17 +24,21 @@ a true `sem_covers` always means event-set inclusion, and a false
 
 Each event is augmented once and each advertisement normalized once per
 knowledge base.  Both are kept keyed by attribute, so a subscription
-predicate meets only the event values of its own attribute, and an
-advertisement is searched only at the attributes the hierarchy relates to
-the other side's.
+predicate meets only the event values of its own attribute.  On its first
+`sem_intersects`, an advertisement also gets a `_Gate` per attribute: a
+summary of what the predicates there admit, merged once over the attribute
+alone and once over it and all its descendants.  A subscription predicate
+then meets only the merged gate at its own attribute and the plain gates at
+its ancestors, each with a few set lookups, instead of a scan of the
+advertisement's predicates.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, TypeVar
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, TypeVar
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -46,7 +50,7 @@ from .model import (
     Subscription,
     Value,
 )
-from .syntactic import implies, jointly_satisfiable
+from .syntactic import implies, interval
 
 
 class Provenance(enum.Enum):
@@ -168,11 +172,35 @@ def augmented_values(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
 _augmented = lru_cache(maxsize=None)(augmented_values)
 
 
-@lru_cache(maxsize=None)
-def _advertised(adv: Advertisement, kb: KnowledgeBase) -> dict[str, list[Predicate]]:
-    """The normalized advertisement's predicates, keyed by attribute."""
-    preds = normalize_advertisement(adv, kb).predicates
-    return _by_attribute((p.attribute, p) for p in preds)
+class _Advertised:
+    """A normalized advertisement: its predicates keyed by attribute, and the
+    gates `sem_intersects` looks subscription predicates up in."""
+
+    def __init__(self, adv: Advertisement, kb: KnowledgeBase):
+        self.kb = kb
+        preds = normalize_advertisement(adv, kb).predicates
+        self.predicates = _by_attribute((p.attribute, p) for p in preds)
+
+    @cached_property
+    def gates(self) -> tuple[dict[str, "_Gate"], dict[str, "_Gate"]]:
+        """Gates over each attribute's own predicates, and over the
+        predicates of each attribute and all its descendants.
+
+        Built on first use, because publish admission, which only needs
+        `predicates`, normalizes every advertisement while a scenario loads.
+        """
+        kb = self.kb
+        below: dict[str, list[Predicate]] = {}
+        for attribute, preds in self.predicates.items():
+            for term in (attribute, *kb.ancestors(attribute)):
+                below.setdefault(term, []).extend(preds)
+        return (
+            {a: _Gate(preds, kb) for a, preds in self.predicates.items()},
+            {a: _Gate(preds, kb) for a, preds in below.items()},
+        )
+
+
+_advertised = lru_cache(maxsize=None)(_Advertised)
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +274,7 @@ def _value_descends(v: Value, target: Value, kb: KnowledgeBase) -> bool:
 def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
     under hierarchy-lifted matching."""
-    advertised = _advertised(adv, kb)
+    advertised = _advertised(adv, kb).predicates
     return all(
         any(
             pair_sem_matches(pair, pred, kb)
@@ -303,31 +331,119 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     )
 
 
-def _sem_jointly_satisfiable(sp: Predicate, ap: Predicate, kb: KnowledgeBase) -> bool:
-    """True iff one event pair can semantically satisfy both predicates.
+class _Gate:
+    """What a set of normalized advertisement predicates admits, in the form
+    `sem_intersects` asks about it.
 
-    The pair's attribute must descend to both predicate attributes, which in
-    a forest means the attributes are comparable, with the deeper term the
-    witness attribute; the caller pairs only such predicates, as callers of
-    `jointly_satisfiable` pair same-attribute ones.  Every syntactic witness
-    value is a semantic one;
-    the hierarchy adds witnesses only for string equality:
+    A subscription predicate sp meets the gate iff one event pair can
+    semantically satisfy sp and some gate predicate ap; the caller passes
+    only gates over attributes comparable with sp's, the deeper one being
+    the witness pair's attribute.  Every syntactic witness value counts, and
+    the hierarchy adds witnesses only for string equality.  By operator of
+    sp (rows) and ap (columns), with sp's value v and ap's value w:
 
-      - = against =: the values may also be hierarchy-comparable (the
-        deeper one is the witness);
-      - = against != on the same value: satisfiable when the value has a
-        strict ancestor (the witness is the value itself, which then also
-        carries a differing generalization) or a strict descendant (the
-        witness, whose chain contains the value and itself differs from it).
+      sp, ap    | = w                       | != w                   | half-line
+      = v       | v == w, or strings on one | v != w, or v == w a    | v an integer
+                | hierarchy path            | string with a relative | inside it
+      != v      | w != v, or v == w a       | always                 | always
+                | string with a relative    |                        |
+      half-line | w an integer inside it    | always                 | overlap
+
+    A "relative" is a strict ancestor (the witness is v itself, which also
+    carries a differing generalization) or a strict descendant (the
+    witness, whose chain holds v while it differs from v).  Each entry asks
+    whether some ap exists, so gates over merged predicate sets stay exact.
+    The summary answers each in a few lookups:
+
+      - `values`: the `=` values; `terms`: the string ones; `up`: the terms
+        and all their ancestors, so v lies on a path with some term iff v is
+        in `up` or one of v's ancestors is in `terms`;
+      - `excluded`: the `!=` values;
+      - `lo`: the smallest bound of the `>`, `>=` half-lines and `hi` the
+        largest of the `<`, `<=` ones, closed as `syntactic.interval` gives
+        them;
+      - `bottom`: the least integer a `>`, `>=` or integer `=` predicate
+        admits, and `top` the greatest a `<`, `<=` or integer `=` one
+        admits.  A half-line sp meets every half-line facing its own way;
+        past those, a lower-bounded sp needs `top` at or above its bound,
+        an upper-bounded one `bottom` at or below it.
     """
-    if jointly_satisfiable(sp, ap):
+
+    __slots__ = ("values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
+
+    def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
+        self.values: set[Value] = set()
+        self.excluded: set[Value] = set()
+        lows: list[int] = []
+        highs: list[int] = []
+        for p in preds:
+            if p.op is RelOp.EQ:
+                self.values.add(p.value)
+            elif p.op is RelOp.NE:
+                self.excluded.add(p.value)
+            else:
+                lo, hi = interval(p)
+                if hi is None:
+                    lows.append(lo)
+                else:
+                    highs.append(hi)
+        self.terms = {v.data for v in self.values if v.is_string}
+        self.up = self.terms.union(*(kb.ancestors(t) for t in self.terms))
+        ints = [v.data for v in self.values if v.is_int]
+        self.lo: Optional[int] = min(lows, default=None)
+        self.hi: Optional[int] = max(highs, default=None)
+        self.bottom: Optional[int] = min(lows + ints, default=None)
+        self.top: Optional[int] = max(highs + ints, default=None)
+
+    def meets(self, sp: Predicate, kb: KnowledgeBase) -> bool:
+        v = sp.value
+        if sp.op is RelOp.EQ:
+            if _holds_other(self.excluded, v):
+                return True
+            if v.is_string:
+                return (
+                    v.data in self.up
+                    or not self.terms.isdisjoint(kb.ancestors(v.data))
+                    or (v in self.excluded and kb.has_relative(v.data))
+                )
+            if v in self.values:
+                return True
+            return v.is_int and (
+                (self.lo is not None and self.lo <= v.data)
+                or (self.hi is not None and v.data <= self.hi)
+            )
+        if sp.op is RelOp.NE:
+            if self.excluded or self.lo is not None or self.hi is not None:
+                return True
+            return _holds_other(self.values, v) or (
+                v.is_string and v.data in self.terms and kb.has_relative(v.data)
+            )
+        if self.excluded:
+            return True
+        lo, hi = interval(sp)
+        if hi is None:
+            return self.lo is not None or (self.top is not None and lo <= self.top)
+        return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
+
+
+def _holds_other(values: set[Value], v: Value) -> bool:
+    """True iff `values` holds a value other than v."""
+    return len(values) > 1 or (bool(values) and v not in values)
+
+
+def _meets_some(
+    sp: Predicate, own: dict[str, _Gate], below: dict[str, _Gate], kb: KnowledgeBase
+) -> bool:
+    """True iff a gate over an attribute comparable with sp's meets sp: the
+    merged gate at sp's attribute, or the own gate at one of its ancestors."""
+    gate = below.get(sp.attribute)
+    if gate is not None and gate.meets(sp, kb):
         return True
-    p, q = (sp, ap) if sp.op is RelOp.EQ else (ap, sp)
-    if p.op is not RelOp.EQ or not p.value.is_string:
-        return False
-    if q.op is RelOp.EQ:
-        return q.value.is_string and kb.comparable(p.value.data, q.value.data)
-    return q.op is RelOp.NE and p.value == q.value and kb.has_relative(p.value.data)
+    for attribute in kb.ancestors(sp.attribute):
+        gate = own.get(attribute)
+        if gate is not None and gate.meets(sp, kb):
+            return True
+    return False
 
 
 def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> bool:
@@ -338,15 +454,10 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     the hierarchy terms and integers adjacent to the predicate constants:
     events may repeat attributes, so satisfiability decomposes into one
     witness pair per subscription predicate, each of which must also be
-    admitted by some advertisement predicate.
+    admitted by some advertisement predicate on a comparable attribute
+    (see `_Gate`).
     """
-    advertised = _advertised(adv, kb)
+    own, below = _advertised(adv, kb).gates
     return all(
-        any(
-            _sem_jointly_satisfiable(sp, ap, kb)
-            for attribute, preds in advertised.items()
-            if kb.comparable(sp.attribute, attribute)
-            for ap in preds
-        )
-        for sp in _normalized_sub(sub, kb).predicates
+        _meets_some(sp, own, below, kb) for sp in _normalized_sub(sub, kb).predicates
     )

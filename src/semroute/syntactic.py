@@ -1,9 +1,11 @@
 """Syntax-level matching relations over events, subscriptions, advertisements.
 
 All relations here compare attribute names literally.  The operator rules
-(`implies`, `jointly_satisfiable`) live only here: the semantic layer lifts
-the attributes through the hierarchy, calls these rules and adds only the
-cases the hierarchy creates.
+(`implies`, `jointly_satisfiable`) live here: the semantic layer lifts the
+attributes through the hierarchy, calls `implies` and adds only the cases
+the hierarchy creates.  `semantic.sem_intersects` answers joint
+satisfiability from a per-attribute summary of the advertisement instead,
+whose case table restates `jointly_satisfiable` with those added cases.
 
 `covers` and `intersects` are decided predicate-by-predicate:
 

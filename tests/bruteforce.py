@@ -141,7 +141,15 @@ def universe(kb: KnowledgeBase, *entities) -> list[Pair]:
 def _matcher(kb: Optional[KnowledgeBase]):
     if kb is None:
         return plain_match
-    return lambda pair, pred: closure_match(kb, pair, pred)
+    closures: dict[Pair, tuple[Pair, ...]] = {}
+
+    def match(pair: Pair, pred: Predicate) -> bool:
+        # `closure_match`, with each pair's closure expanded once per search.
+        if pair not in closures:
+            closures[pair] = closure(kb, pair)
+        return any(plain_match(c, pred) for c in closures[pair])
+
+    return match
 
 
 def witness_exists(

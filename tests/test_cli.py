@@ -291,6 +291,30 @@ class TestSimulateCommand:
         assert err.startswith("error: unknown mode [[")
         assert len(err) < 100
 
+    @pytest.mark.parametrize(
+        "action, payload, message",
+        [
+            ("subscribe", "(x = 1) " + "y" * 5000, "unexpected trailing input"),
+            ("publish", "{(" + "a" * 5000 + ", 1), (" + "a" * 5000 + ", 2)}",
+             "duplicate attribute"),
+        ],
+        ids=["trailing", "duplicate"],
+    )
+    def test_long_payload_exits_two_with_a_short_message(
+        self, capsys, tmp_path, action, payload, message
+    ):
+        doc = {
+            "brokers": ["b1"],
+            "clients": [{"id": "c", "broker": "b1"}],
+            "script": [{"action": action, "client": "c", "payload": payload}],
+        }
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: script[0]: {message} ")
+        assert len(err) < 100
+
     def test_non_string_client_id_exits_two(self, capsys, tmp_path):
         doc = {
             "brokers": ["b1"],

@@ -104,6 +104,26 @@ class TestParseEvent:
             parse_event("{(a, " + "9" * 5000 + ")}")
 
 
+class TestLongInputIsQuotedShort:
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_subscription, "(x = 1) " + "y" * 5000, "unexpected trailing input"),
+            (parse_event, "{(a, 1)} " + "y" * 5000, "unexpected trailing input"),
+            (
+                parse_event,
+                "{(" + "a" * 5000 + ", 1), (" + "a" * 5000 + ", 2)}",
+                "duplicate attribute",
+            ),
+        ],
+        ids=["subscription-trailing", "event-trailing", "event-duplicate"],
+    )
+    def test_message_stays_short(self, parse, text, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert len(str(err.value)) < 100
+
+
 class TestParsePredicates:
     def test_three_predicates(self):
         sub = parse_subscription(

@@ -7,8 +7,12 @@ from semroute.knowledge import (
     load_knowledge,
 )
 from semroute.model import (
+    Advertisement,
     Event,
     Pair,
+    Predicate,
+    RelOp,
+    Subscription,
     Value,
     parse_advertisement,
     parse_event,
@@ -400,6 +404,67 @@ class TestCoveringAttributeReach:
         assert reach == {"subject"} | {"book", *example_kb.ancestors("book")}
 
 
+def _gate_case(seed: int):
+    """A deep random forest, a long advertisement over one to three
+    hierarchy attributes, and a subscription over those attributes, their
+    ancestors and children, and one random term.
+
+    The advertisement mixes string `=` at every depth, integer and boolean
+    `=`, `!=` and half-lines bounded either way.  Most of its predicates go
+    to the first attribute, so the others keep short gates, where a single
+    predicate can decide.  Most subscription predicates mirror an advertised
+    one, preferably on a short gate, at a comparable attribute: an `=` or
+    `!=` by the same value under the other operator, which is where the
+    hierarchy decides the verdict, and a half-line by one facing the other
+    way near its bound.
+    """
+    rng = random.Random(seed)
+    n_terms = rng.randint(10, 16)
+    kb = make_forest_kb(rng, n_terms)
+    terms = [f"t{i}" for i in range(n_terms)]
+    advertised = rng.sample(terms, k=rng.randint(1, 3))
+
+    def related(attr: str) -> list[str]:
+        children = [child for child, parent in kb.hierarchy if parent == attr]
+        return [attr, *kb.ancestors(attr), *children]
+
+    def predicate(attr: str) -> Predicate:
+        roll = rng.random()
+        if roll < 0.25:
+            return Predicate(attr, RelOp.EQ, Value.string(rng.choice(terms)))
+        if roll < 0.6:
+            op = RelOp.EQ if roll < 0.4 else RelOp.NE
+            return Predicate(attr, op, random_value(rng, terms))
+        op = rng.choice([RelOp.LT, RelOp.LE, RelOp.GT, RelOp.GE])
+        return Predicate(attr, op, Value.integer(rng.randint(-5, 15)))
+
+    adv = Advertisement(
+        tuple(
+            predicate(rng.choices(advertised, [8, 1, 1][: len(advertised)])[0])
+            for _ in range(rng.randint(6, 15))
+        )
+    )
+    near = sorted({rng.choice(terms)}.union(*(related(a) for a in advertised)))
+
+    def sub_predicate() -> Predicate:
+        attr = rng.choices(advertised, [1, 3, 3][: len(advertised)])[0]
+        mirrored = [p for p in adv.predicates if p.attribute == attr]
+        if not mirrored or rng.random() < 0.4:
+            return predicate(rng.choice(near))
+        ap = rng.choice(mirrored)
+        attr = rng.choice(related(attr))
+        if not ap.op.is_ordering:
+            return Predicate(attr, RelOp.NE if ap.op is RelOp.EQ else RelOp.EQ, ap.value)
+        if ap.op in (RelOp.GT, RelOp.GE):
+            op = rng.choice([RelOp.LT, RelOp.LE])
+        else:
+            op = rng.choice([RelOp.GT, RelOp.GE])
+        return Predicate(attr, op, Value.integer(ap.value.data + rng.randint(-2, 2)))
+
+    sub = Subscription(tuple(sub_predicate() for _ in range(rng.randint(1, 3))))
+    return kb, adv, sub
+
+
 class TestSemIntersects:
     def test_gap_example(self, example_kb):
         adv = parse_advertisement('(product = "printed material") AND (price >= 10)')
@@ -442,6 +507,17 @@ class TestSemIntersects:
             assert sem_intersects(adv, sub, kb) == witness_exists(
                 adv, sub, pool, kb=kb
             ), (seed, adv, sub)
+
+    def test_gates_over_long_advertisements_equal_the_witness_search(self):
+        verdicts = []
+        for seed in range(120):
+            kb, adv, sub = _gate_case(seed + 17000)
+            verdict = sem_intersects(adv, sub, kb)
+            assert verdict == witness_exists(adv, sub, universe(kb, adv, sub), kb=kb), (
+                seed, adv, sub
+            )
+            verdicts.append(verdict)
+        assert 30 < sum(verdicts) < 90
 
 
 class TestAdvertisementSpelling:
