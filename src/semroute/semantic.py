@@ -27,10 +27,10 @@ knowledge base.  Both are kept keyed by attribute, so a subscription
 predicate meets only the event values of its own attribute.  On its first
 `sem_intersects`, an advertisement also gets a `_Gate` per attribute: a
 summary of what the predicates there admit, merged once over the attribute
-alone and once over it and all its descendants.  A subscription predicate
-then meets only the merged gate at its own attribute and the plain gates at
-its ancestors, each with a few set lookups, instead of a scan of the
-advertisement's predicates.
+alone and once over it and all its descendants (one gate serves both when
+no descendant is advertised).  A subscription predicate then meets only the
+merged gate at its own attribute and the plain gates at its ancestors, each
+with a few set lookups, instead of a scan of the advertisement's predicates.
 """
 
 from __future__ import annotations
@@ -190,14 +190,16 @@ class _Advertised:
         `predicates`, normalizes every advertisement while a scenario loads.
         """
         kb = self.kb
-        below: dict[str, list[Predicate]] = {}
+        own = {a: _Gate(preds, kb) for a, preds in self.predicates.items()}
+        descendants: dict[str, list[Predicate]] = {}
         for attribute, preds in self.predicates.items():
-            for term in (attribute, *kb.ancestors(attribute)):
-                below.setdefault(term, []).extend(preds)
-        return (
-            {a: _Gate(preds, kb) for a, preds in self.predicates.items()},
-            {a: _Gate(preds, kb) for a, preds in below.items()},
-        )
+            for term in kb.ancestors(attribute):
+                descendants.setdefault(term, []).extend(preds)
+        # An attribute with no advertised descendant shares its own gate.
+        merged = dict(own)
+        for a, preds in descendants.items():
+            merged[a] = _Gate(preds + self.predicates.get(a, []), kb)
+        return own, merged
 
 
 _advertised = lru_cache(maxsize=None)(_Advertised)

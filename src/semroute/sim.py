@@ -48,7 +48,6 @@ from .model import (
     Advertisement,
     ParseError,
     Subscription,
-    Value,
     excerpt,
     parse_advertisement,
     parse_event,
@@ -404,29 +403,20 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     subscription matches semantically over `relation_knowledge`, that is over
     the empty knowledge base in syntactic mode.  Each subscription is
     normalized once, when it becomes active, and each event augmented once;
-    over an empty knowledge base both are identities, so the oracle takes
-    the subscription and the event's own pairs as they are.  A subscription
-    is tested only if the event carries all its attributes.  The oracle
-    keeps no state between calls and reads none of the memo caches routing
-    fills.
+    a subscription is tested only if the event carries all its attributes.
+    The oracle keeps no state between calls and reads none of the memo
+    caches routing fills.
     """
     kb = relation_knowledge(scenario.mode, scenario.kb)
     active: list[tuple[str, frozenset[str], Subscription]] = []
     expected: set[tuple[str, int]] = set()
     for action in scenario.script:
         if action.kind is MessageKind.SUBSCRIBE:
-            sub = action.payload
-            if not kb.is_empty:
-                sub = normalize_subscription(sub, kb)
+            sub = normalize_subscription(action.payload, kb)
             attributes = subscription_attributes(sub, kb)
             active.append((action.frm, attributes, sub))
         elif action.kind is MessageKind.PUBLISH:
-            if kb.is_empty:
-                values: dict[str, list[Value]] = {}
-                for pair in action.payload.pairs:
-                    values.setdefault(pair.attribute, []).append(pair.value)
-            else:
-                values = augmented_values(action.payload, kb)
+            values = augmented_values(action.payload, kb)
             carried = frozenset(values)
             for client, attributes, sub in active:
                 if attributes <= carried and values_satisfy(values, sub):
