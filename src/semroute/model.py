@@ -24,8 +24,9 @@ from __future__ import annotations
 import enum
 import re
 import reprlib
-from dataclasses import dataclass, field
-from typing import Iterator, TypeVar, Union
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -56,6 +57,7 @@ def excerpt(raw: object) -> str:
 
 
 _T = TypeVar("_T")
+_K = TypeVar("_K")
 
 
 def _hash_once(cls: type[_T]) -> type[_T]:
@@ -65,10 +67,12 @@ def _hash_once(cls: type[_T]) -> type[_T]:
     generated hash rehashes every nested entity on each call.  The kept
     value is the generated one, over compared fields only (so never `id`),
     computed on first use rather than at construction, because most parsed
-    entities are never hashed.  It is left out of the pickled state: string
-    hashes differ between interpreter processes.
+    entities are never hashed.  The pickled state is exactly the dataclass
+    fields: string hashes differ between interpreter processes, and what
+    `kept` and the cached properties hold is rebuilt on first use.
     """
     generated = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
 
     def __hash__(self) -> int:
         try:
@@ -79,13 +83,35 @@ def _hash_once(cls: type[_T]) -> type[_T]:
             return value
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return {name: getattr(self, name) for name in names}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
+
+
+def kept(entity: Any, name: str, key: _K, build: Callable[[Any, _K], _T]) -> _T:
+    """`build(entity, key)`, built on first use and kept on the entity.
+
+    A relation keeps here the per-attribute summary of an entity it
+    quantifies over, the way `_hash_once` keeps the hash: as an instance
+    attribute, outside the compared fields and the pickled state.  `key` is
+    the hierarchy the summary is built under; asked under another one, it is
+    rebuilt, and only the last is kept.
+    """
+    held = getattr(entity, name, None)
+    if held is None or held[0] is not key:
+        held = (key, build(entity, key))
+        object.__setattr__(entity, name, held)
+    return held[1]
+
+
+def group_by_attribute(items: Iterable[tuple[str, _T]]) -> dict[str, list[_T]]:
+    """The items' second parts in order, keyed by their attribute."""
+    grouped: dict[str, list[_T]] = {}
+    for attribute, item in items:
+        grouped.setdefault(attribute, []).append(item)
+    return grouped
 
 
 class ValueKind(enum.Enum):
@@ -195,6 +221,16 @@ class Event:
 
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.pairs)
+
+    @cached_property
+    def by_attribute(self) -> dict[str, list[Value]]:
+        """The event's values keyed by attribute, built on first use and kept."""
+        return group_by_attribute((p.attribute, p.value) for p in self.pairs)
+
+    @cached_property
+    def attributes(self) -> frozenset[str]:
+        """The keys of `by_attribute`, built on first use and kept."""
+        return frozenset(self.by_attribute)
 
 
 @_hash_once

@@ -117,7 +117,7 @@ class BrokerState:
         """Attributes at which `_matches` can find a value: the event's own
         under an empty knowledge base, else the augmented event's."""
         if self.kb.is_empty:
-            return frozenset(p.attribute for p in event.pairs)
+            return event.attributes
         return carried_attributes(event, self.kb)
 
     def _matches(self, event: Event, sub: Subscription) -> bool:

@@ -24,13 +24,22 @@ a true `sem_covers` always means event-set inclusion, and a false
 
 Each event is augmented once and each advertisement normalized once per
 knowledge base.  Both are kept keyed by attribute, so a subscription
-predicate meets only the event values of its own attribute.  On its first
-`sem_intersects`, an advertisement also gets a `_Gate` per attribute: a
-summary of what the predicates there admit, merged once over the attribute
-alone and once over it and all its descendants (one gate serves both when
-no descendant is advertised).  A subscription predicate then meets only the
-merged gate at its own attribute and the plain gates at its ancestors, each
-with a few set lookups, instead of a scan of the advertisement's predicates.
+predicate meets only the event values of its own attribute, through the
+same `syntactic.values_satisfy` loop `match_event` runs.  Both lifted
+relations ask the summaries `syntactic` defines, built over the knowledge
+base's hierarchy, instead of scanning the side they quantify over:
+
+- `sem_covers` keeps on the covered subscription, for the last knowledge
+  base it was asked under, an `Implied` per attribute over the predicates
+  there and at its descendants, with `=` values lifted to their ancestor
+  chains;
+- on its first `sem_intersects`, an advertisement's memo entry gets a
+  `Gate` per attribute, merged once over the attribute alone and once over
+  it and all its descendants (one gate serves both when no descendant is
+  advertised).  A subscription predicate meets only the merged gate at its
+  own attribute and the plain gates at its ancestors.
+
+Each test is then a few set lookups per predicate.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, TypeVar
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -49,8 +57,16 @@ from .model import (
     RelOp,
     Subscription,
     Value,
+    group_by_attribute,
+    kept,
 )
-from .syntactic import implies, interval
+from .syntactic import (
+    Gate,
+    Implied,
+    all_implied,
+    implied_by_attribute,
+    values_satisfy,
+)
 
 
 class Provenance(enum.Enum):
@@ -149,16 +165,6 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     return AugmentedEvent(event, tuple(added))
 
 
-_T = TypeVar("_T")
-
-
-def _by_attribute(items: Iterable[tuple[str, _T]]) -> dict[str, list[_T]]:
-    grouped: dict[str, list[_T]] = {}
-    for attribute, item in items:
-        grouped.setdefault(attribute, []).append(item)
-    return grouped
-
-
 def augmented_values(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
     """The augmented event's values, keyed by attribute.
 
@@ -166,7 +172,7 @@ def augmented_values(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
     of its own attributes, their ancestors, and the mapping outputs.
     """
     pairs = augment(normalize_event(event, kb), kb).all_pairs()
-    return _by_attribute((p.attribute, p.value) for p in pairs)
+    return group_by_attribute((p.attribute, p.value) for p in pairs)
 
 
 _augmented = lru_cache(maxsize=None)(augmented_values)
@@ -179,10 +185,10 @@ class _Advertised:
     def __init__(self, adv: Advertisement, kb: KnowledgeBase):
         self.kb = kb
         preds = normalize_advertisement(adv, kb).predicates
-        self.predicates = _by_attribute((p.attribute, p) for p in preds)
+        self.predicates = group_by_attribute((p.attribute, p) for p in preds)
 
     @cached_property
-    def gates(self) -> tuple[dict[str, "_Gate"], dict[str, "_Gate"]]:
+    def gates(self) -> tuple[dict[str, Gate], dict[str, Gate]]:
         """Gates over each attribute's own predicates, and over the
         predicates of each attribute and all its descendants.
 
@@ -190,7 +196,7 @@ class _Advertised:
         `predicates`, normalizes every advertisement while a scenario loads.
         """
         kb = self.kb
-        own = {a: _Gate(preds, kb) for a, preds in self.predicates.items()}
+        own = {a: Gate(preds, kb) for a, preds in self.predicates.items()}
         descendants: dict[str, list[Predicate]] = {}
         for attribute, preds in self.predicates.items():
             for term in kb.ancestors(attribute):
@@ -198,7 +204,7 @@ class _Advertised:
         # An attribute with no advertised descendant shares its own gate.
         merged = dict(own)
         for a, preds in descendants.items():
-            merged[a] = _Gate(preds + self.predicates.get(a, []), kb)
+            merged[a] = Gate(preds + self.predicates.get(a, []), kb)
         return own, merged
 
 
@@ -217,21 +223,6 @@ def carried_attributes(event: Event, kb: KnowledgeBase) -> frozenset[str]:
     can hold only if `subscription_attributes(sub, kb)` lies within these.
     """
     return frozenset(_augmented(event, kb))
-
-
-def values_satisfy(values: dict[str, list[Value]], sub: Subscription) -> bool:
-    """True iff each predicate holds for some value at its attribute.
-
-    `values` is keyed by attribute, as `augmented_values` returns it, and
-    `sub` is normalized.
-    """
-    for pred in sub.predicates:
-        for value in values.get(pred.attribute, ()):
-            if pred.op.holds(value, pred.value):
-                break
-        else:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -287,22 +278,6 @@ def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     )
 
 
-def _sem_implies(p2: Predicate, p1: Predicate, kb: KnowledgeBase) -> bool:
-    """True iff any event pair semantically satisfying p2 also semantically
-    satisfies p1 (p2 the more specific side).
-
-    The hierarchy adds one case to syntactic implication: (= v) implies
-    (= w) when v descends from w.  Against (!= w), a pair satisfying (= v)
-    still carries v itself, so the syntactic rule (v differs from w) stays
-    exact.
-    """
-    if not kb.is_descendant_or_equal(p2.attribute, p1.attribute):
-        return False
-    if p2.op is RelOp.EQ and p1.op is RelOp.EQ:
-        return _value_descends(p2.value, p1.value, kb)
-    return implies(p2, p1)
-
-
 def subscription_attributes(sub: Subscription, kb: KnowledgeBase) -> frozenset[str]:
     """The root forms of the subscription's predicate attributes."""
     return frozenset(kb.root_term(p.attribute) for p in sub.predicates)
@@ -313,6 +288,10 @@ def attribute_reach(attributes: frozenset[str], kb: KnowledgeBase) -> frozenset[
     return attributes.union(*(kb.ancestors(a) for a in attributes))
 
 
+def _lifted_implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
+    return implied_by_attribute(_normalized_sub(sub, kb).predicates, kb)
+
+
 def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     """True iff every event semantically matching s2 semantically matches s1.
 
@@ -320,121 +299,26 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     subscription satisfiable only through a mapping output may defeat the
     inclusion this relation promises (see module docstring).
 
-    An s1 predicate is implied only by an s2 predicate on a descendant of
-    (or the same) attribute, so s1 can cover s2 only if
+    Each normalized s1 predicate must be implied by some normalized s2
+    predicate on a descendant of (or the same) attribute.  The hierarchy
+    adds one case to syntactic implication: (= v) implies (= w) when v
+    descends from w.  Against (!= w), a pair satisfying (= v) still carries
+    v itself, so the syntactic rule (v differs from w) stays exact.
+
+    s2 is summarised on first use and kept on it with the knowledge base
+    (only the last one asked under): an `Implied` at each of its attributes
+    and their ancestors, over the predicates there and at the descendants,
+    with `=` values lifted to their ancestor chains.  An s1 predicate
+    elsewhere is implied by nothing, so s1 can cover s2 only if
     `subscription_attributes(s1, kb)` lies within
     `attribute_reach(subscription_attributes(s2, kb), kb)`.
     """
-    n1 = _normalized_sub(s1, kb)
-    n2 = _normalized_sub(s2, kb)
-    return all(
-        any(_sem_implies(p2, p1, kb) for p2 in n2.predicates)
-        for p1 in n1.predicates
-    )
-
-
-class _Gate:
-    """What a set of normalized advertisement predicates admits, in the form
-    `sem_intersects` asks about it.
-
-    A subscription predicate sp meets the gate iff one event pair can
-    semantically satisfy sp and some gate predicate ap; the caller passes
-    only gates over attributes comparable with sp's, the deeper one being
-    the witness pair's attribute.  Every syntactic witness value counts, and
-    the hierarchy adds witnesses only for string equality.  By operator of
-    sp (rows) and ap (columns), with sp's value v and ap's value w:
-
-      sp, ap    | = w                       | != w                   | half-line
-      = v       | v == w, or strings on one | v != w, or v == w a    | v an integer
-                | hierarchy path            | string with a relative | inside it
-      != v      | w != v, or v == w a       | always                 | always
-                | string with a relative    |                        |
-      half-line | w an integer inside it    | always                 | overlap
-
-    A "relative" is a strict ancestor (the witness is v itself, which also
-    carries a differing generalization) or a strict descendant (the
-    witness, whose chain holds v while it differs from v).  Each entry asks
-    whether some ap exists, so gates over merged predicate sets stay exact.
-    The summary answers each in a few lookups:
-
-      - `values`: the `=` values; `terms`: the string ones; `up`: the terms
-        and all their ancestors, so v lies on a path with some term iff v is
-        in `up` or one of v's ancestors is in `terms`;
-      - `excluded`: the `!=` values;
-      - `lo`: the smallest bound of the `>`, `>=` half-lines and `hi` the
-        largest of the `<`, `<=` ones, closed as `syntactic.interval` gives
-        them;
-      - `bottom`: the least integer a `>`, `>=` or integer `=` predicate
-        admits, and `top` the greatest a `<`, `<=` or integer `=` one
-        admits.  A half-line sp meets every half-line facing its own way;
-        past those, a lower-bounded sp needs `top` at or above its bound,
-        an upper-bounded one `bottom` at or below it.
-    """
-
-    __slots__ = ("values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
-
-    def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
-        self.values: set[Value] = set()
-        self.excluded: set[Value] = set()
-        lows: list[int] = []
-        highs: list[int] = []
-        for p in preds:
-            if p.op is RelOp.EQ:
-                self.values.add(p.value)
-            elif p.op is RelOp.NE:
-                self.excluded.add(p.value)
-            else:
-                lo, hi = interval(p)
-                if hi is None:
-                    lows.append(lo)
-                else:
-                    highs.append(hi)
-        self.terms = {v.data for v in self.values if v.is_string}
-        self.up = self.terms.union(*(kb.ancestors(t) for t in self.terms))
-        ints = [v.data for v in self.values if v.is_int]
-        self.lo: Optional[int] = min(lows, default=None)
-        self.hi: Optional[int] = max(highs, default=None)
-        self.bottom: Optional[int] = min(lows + ints, default=None)
-        self.top: Optional[int] = max(highs + ints, default=None)
-
-    def meets(self, sp: Predicate, kb: KnowledgeBase) -> bool:
-        v = sp.value
-        if sp.op is RelOp.EQ:
-            if _holds_other(self.excluded, v):
-                return True
-            if v.is_string:
-                return (
-                    v.data in self.up
-                    or not self.terms.isdisjoint(kb.ancestors(v.data))
-                    or (v in self.excluded and kb.has_relative(v.data))
-                )
-            if v in self.values:
-                return True
-            return v.is_int and (
-                (self.lo is not None and self.lo <= v.data)
-                or (self.hi is not None and v.data <= self.hi)
-            )
-        if sp.op is RelOp.NE:
-            if self.excluded or self.lo is not None or self.hi is not None:
-                return True
-            return _holds_other(self.values, v) or (
-                v.is_string and v.data in self.terms and kb.has_relative(v.data)
-            )
-        if self.excluded:
-            return True
-        lo, hi = interval(sp)
-        if hi is None:
-            return self.lo is not None or (self.top is not None and lo <= self.top)
-        return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
-
-
-def _holds_other(values: set[Value], v: Value) -> bool:
-    """True iff `values` holds a value other than v."""
-    return len(values) > 1 or (bool(values) and v not in values)
+    implied = kept(s2, "_sem_implied", kb, _lifted_implied)
+    return all_implied(_normalized_sub(s1, kb).predicates, implied)
 
 
 def _meets_some(
-    sp: Predicate, own: dict[str, _Gate], below: dict[str, _Gate], kb: KnowledgeBase
+    sp: Predicate, own: dict[str, Gate], below: dict[str, Gate], kb: KnowledgeBase
 ) -> bool:
     """True iff a gate over an attribute comparable with sp's meets sp: the
     merged gate at sp's attribute, or the own gate at one of its ancestors."""
@@ -457,7 +341,7 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     events may repeat attributes, so satisfiability decomposes into one
     witness pair per subscription predicate, each of which must also be
     admitted by some advertisement predicate on a comparable attribute
-    (see `_Gate`).
+    (see `syntactic.Gate`).
     """
     own, below = _advertised(adv, kb).gates
     return all(

@@ -60,10 +60,9 @@ from .semantic import (
     sem_determines,
     sem_match,
     subscription_attributes,
-    values_satisfy,
 )
 # Nothing here calls `match_event`; `bench/tracing.py` patches it by name.
-from .syntactic import match_event  # noqa: F401
+from .syntactic import match_event, values_satisfy  # noqa: F401
 
 
 class ScenarioError(ValueError):

@@ -3,10 +3,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from semroute.knowledge import KnowledgeBase, SynonymGroup, load_knowledge
 from semroute.model import (
     Advertisement,
+    Event,
     Pair,
     Predicate,
     RelOp,
@@ -93,3 +95,50 @@ def relation_case(seed: int):
     terms = [f"t{i}" for i in range(n_terms)]
     attrs = rng.sample(terms, k=rng.randint(1, 3)) + ["price", "kind"]
     return rng, kb, attrs, terms
+
+
+# Hypothesis strategies over small pools, so that attributes repeat and values
+# collide: strings, integers near zero and booleans.
+SMALL_INTS = st.integers(-3, 3)
+
+
+def values_from(terms: list[str]) -> st.SearchStrategy[Value]:
+    return st.one_of(
+        st.sampled_from(terms).map(Value.string),
+        SMALL_INTS.map(Value.integer),
+        st.booleans().map(Value.boolean),
+    )
+
+
+def predicates_from(attrs: list[str], terms: list[str]) -> st.SearchStrategy[Predicate]:
+    """`=` and `!=` over every value kind, ordering operators over integers."""
+    attr = st.sampled_from(attrs)
+    return st.one_of(
+        st.builds(Predicate, attr, st.sampled_from([RelOp.EQ, RelOp.NE]), values_from(terms)),
+        st.builds(
+            Predicate,
+            attr,
+            st.sampled_from([RelOp.LT, RelOp.LE, RelOp.GT, RelOp.GE]),
+            SMALL_INTS.map(Value.integer),
+        ),
+    )
+
+
+def subscriptions_from(
+    attrs: list[str], terms: list[str], max_preds: int = 5
+) -> st.SearchStrategy[Subscription]:
+    preds = st.lists(predicates_from(attrs, terms), min_size=1, max_size=max_preds)
+    return preds.map(lambda ps: Subscription(tuple(ps)))
+
+
+def advertisements_from(
+    attrs: list[str], terms: list[str], max_preds: int = 5
+) -> st.SearchStrategy[Advertisement]:
+    preds = st.lists(predicates_from(attrs, terms), min_size=1, max_size=max_preds)
+    return preds.map(lambda ps: Advertisement(tuple(ps)))
+
+
+def events_from(attrs: list[str], terms: list[str]) -> st.SearchStrategy[Event]:
+    """Events that may carry several values per attribute."""
+    pair = st.builds(Pair, st.sampled_from(attrs), values_from(terms))
+    return st.lists(pair, min_size=1, max_size=6).map(lambda ps: Event(tuple(ps)))

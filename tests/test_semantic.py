@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from semroute.knowledge import (
     KnowledgeBase,
     MappingFunction,
@@ -31,7 +34,7 @@ from semroute.semantic import (
     sem_match,
     subscription_attributes,
 )
-from semroute.syntactic import covers, intersects, match_event
+from semroute.syntactic import covers, implies, intersects, match_event
 
 from .bruteforce import (
     covering_counterexample,
@@ -45,7 +48,9 @@ from .conftest import (
     random_advertisement,
     random_subscription,
     random_value,
+    predicates_from,
     relation_case,
+    subscriptions_from,
 )
 
 ENCYCLOPEDIA_EVENT = parse_event('{(encyclopedia, "Stone Age"), (subject, "crocodiles")}')
@@ -368,6 +373,84 @@ class TestSemCovers:
             s1 = random_subscription(rng, ["a", "b"], ["x", "y"])
             s2 = random_subscription(rng, ["a", "b"], ["x", "y"])
             assert sem_covers(s1, s2, kb) == covers(s1, s2)
+
+
+def _sem_implies(p2: Predicate, p1: Predicate, kb: KnowledgeBase) -> bool:
+    """The predicate-wise rule `sem_covers` replaced by a summary: any event
+    pair semantically satisfying p2 also satisfies p1 (normalized inputs)."""
+    if not kb.is_descendant_or_equal(p2.attribute, p1.attribute):
+        return False
+    if p2.op is RelOp.EQ and p1.op is RelOp.EQ:
+        v, w = p2.value, p1.value
+        return v == w or (
+            v.is_string and w.is_string and kb.is_descendant_or_equal(v.data, w.data)
+        )
+    return implies(p2, p1)
+
+
+def _pairwise_sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
+    n1 = normalize_subscription(s1, kb)
+    n2 = normalize_subscription(s2, kb)
+    return all(
+        any(_sem_implies(p2, p1, kb) for p2 in n2.predicates) for p1 in n1.predicates
+    )
+
+
+@st.composite
+def _forest_covering_case(draw):
+    """A random forest with synonyms, and two subscriptions over its terms
+    and their synonym spellings, in both attribute and value position.
+
+    Each predicate of the covering side is drawn afresh or generalizes one
+    of the covered side's: its attribute and string value climb to the
+    root form or an ancestor, `=` and `!=` may swap, and a bound moves by a
+    little, so that coverings through the hierarchy are common.
+    """
+    kb = make_forest_kb(
+        random.Random(draw(st.integers(0, 2**32))),
+        draw(st.integers(3, 8)),
+        with_synonyms=True,
+    )
+    terms = sorted({t for edge in kb.hierarchy for t in edge} | {g.root for g in kb.synonyms})
+    spellings = terms + sorted(m for g in kb.synonyms for m in g.members)
+    attrs = draw(st.lists(st.sampled_from(spellings), min_size=1, max_size=3, unique=True))
+    s2 = draw(subscriptions_from(attrs, spellings, max_preds=4))
+
+    def climbed(term: str) -> str:
+        root = kb.root_term(term)
+        return draw(st.sampled_from([term, root, *kb.ancestors(root)]))
+
+    def generalized(p: Predicate) -> Predicate:
+        if p.op.is_ordering:
+            return Predicate(climbed(p.attribute), p.op, Value.integer(p.value.data + draw(st.integers(-2, 2))))
+        value = Value.string(climbed(p.value.data)) if p.value.is_string else p.value
+        return Predicate(climbed(p.attribute), draw(st.sampled_from([RelOp.EQ, RelOp.NE])), value)
+
+    fresh = predicates_from(attrs, spellings)
+    s1 = Subscription(
+        tuple(
+            generalized(draw(st.sampled_from(s2.predicates))) if draw(st.booleans()) else draw(fresh)
+            for _ in range(draw(st.integers(1, 3)))
+        )
+    )
+    return kb, s1, s2
+
+
+class TestSemCoversSummary:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_forest_covering_case())
+    def test_equals_the_predicate_wise_rule(self, case):
+        kb, s1, s2 = case
+        expected = _pairwise_sem_covers(s1, s2, kb)
+        assert sem_covers(s1, s2, kb) == expected
+        assert sem_covers(s1, s2, kb) == expected  # the kept summary answers alike
+
+    def test_the_summary_follows_the_knowledge_base(self, example_kb):
+        s1 = parse_subscription('(product = "printed material")')
+        s2 = parse_subscription('(product = "book")')
+        empty = KnowledgeBase.empty()
+        for kb, expected in ((example_kb, True), (empty, False), (example_kb, True)):
+            assert sem_covers(s1, s2, kb) == expected
 
 
 class TestCoveringAttributeReach:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from semroute.model import (
     Pair,
@@ -29,7 +30,13 @@ from .bruteforce import (
     universe,
     witness_exists,
 )
-from .conftest import random_advertisement, random_subscription
+from .conftest import (
+    advertisements_from,
+    events_from,
+    random_advertisement,
+    random_subscription,
+    subscriptions_from,
+)
 
 S1 = parse_subscription('(product = "computer") AND (brand = "IBM") AND (price <= 1600)')
 S1_NARROW = parse_subscription('(product = "computer") AND (brand = "IBM") AND (price <= 1500)')
@@ -269,3 +276,56 @@ class TestBruteForceAgreement:
             checked += 1
             assert intersects(type(adv)(tuple(widened)), sub)
         assert checked > 50
+
+
+SUMMARY_ATTRS = ["a", "b"]
+SUMMARY_TERMS = ["x", "y"]
+PROPERTY = settings(derandomize=True, max_examples=400, deadline=None)
+
+
+class TestSummariesEqualThePairRules:
+    """`covers`, `intersects` and `match_event` ask per-attribute summaries
+    kept on the entity they quantify over; each equals the scan of the
+    per-predicate rule it replaces."""
+
+    @PROPERTY
+    @given(
+        subscriptions_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+        subscriptions_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+    )
+    def test_covers_equals_predicate_wise_implication(self, s1, s2):
+        expected = all(
+            any(p2.attribute == p1.attribute and implies(p2, p1) for p2 in s2.predicates)
+            for p1 in s1.predicates
+        )
+        assert covers(s1, s2) == expected
+        assert covers(s1, s2) == expected  # the kept summary answers alike
+
+    @PROPERTY
+    @given(
+        advertisements_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+        subscriptions_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+    )
+    def test_intersects_equals_predicate_wise_joint_satisfiability(self, adv, sub):
+        expected = all(
+            any(
+                a.attribute == s.attribute and jointly_satisfiable(s, a)
+                for a in adv.predicates
+            )
+            for s in sub.predicates
+        )
+        assert intersects(adv, sub) == expected
+        assert intersects(adv, sub) == expected
+
+    @PROPERTY
+    @given(
+        events_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+        subscriptions_from(SUMMARY_ATTRS, SUMMARY_TERMS),
+    )
+    def test_match_event_equals_pair_wise_matching(self, event, sub):
+        expected = all(
+            any(match_pair(pair, pred) for pair in event.pairs)
+            for pred in sub.predicates
+        )
+        assert match_event(event, sub) == expected
+        assert match_event(event, sub) == expected
