@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .model import INT_MAX, INT_MIN, Event, Pair, Predicate, RelOp, Value, excerpt
-from .syntactic import match_pair
+from .model import INT_MAX, INT_MIN, Pair, Predicate, RelOp, Value, excerpt
 
 
 class KnowledgeError(ValueError):
@@ -95,8 +94,9 @@ class MappingFunction:
 class KnowledgeBase:
     """Immutable synonym/hierarchy/mapping store.
 
-    Instances compare and hash by identity, which lets pure functions over
-    (entity, kb) arguments be memoized cheaply.
+    Instances compare and hash by identity, which lets `sem_match`'s memo
+    and `model.kept` key on them cheaply.  The only state filled after
+    construction is `ancestor_values`' table, which changes no answer.
     """
 
     def __init__(
@@ -117,6 +117,7 @@ class KnowledgeBase:
         self._validate()
         self._parents_with_children = frozenset(self._parent.values())
         self._bare: Optional[KnowledgeBase] = None
+        self._ancestor_values: dict[str, tuple[Value, ...]] = {}
 
     def _validate(self) -> None:
         for group in self.synonyms:
@@ -202,6 +203,16 @@ class KnowledgeBase:
     def ancestors(self, term: str) -> tuple[str, ...]:
         """Strict ancestors of a root-form term, nearest first."""
         return self._ancestors.get(term, ())
+
+    def ancestor_values(self, term: str) -> tuple[Value, ...]:
+        """`ancestors(term)` as string values, built on first use and kept,
+        so at most once per hierarchy term."""
+        values = self._ancestor_values.get(term)
+        if values is None:
+            values = tuple(Value.string(t) for t in self.ancestors(term))
+            if values:
+                self._ancestor_values[term] = values
+        return values
 
     def is_descendant_or_equal(self, t1: str, t2: str) -> bool:
         """True iff t1 equals t2 or t2 is a strict ancestor of t1."""
@@ -390,33 +401,33 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
 
 def apply_mapping(
     f: MappingFunction,
-    event: Union[Event, Iterable[Pair]],
+    values: Mapping[str, Iterable[Value]],
     reference_year: int,
 ) -> Optional[Pair]:
-    """Evaluate one mapping function against an event's pairs.
+    """Evaluate one mapping function against an event's values by attribute.
 
-    Every input attribute must be present; when an attribute occurs several
-    times (augmented events), the first occurrence is bound.  Returns None
-    when an input is absent, the guard fails, or an arithmetic body meets a
-    non-integer input.
+    Every input attribute must carry a value; when it carries several
+    (augmented events), the first is bound.  Returns None when an input is
+    absent, the guard fails, or an arithmetic body meets a non-integer
+    input.
     """
-    pairs = list(event)
-    bound: dict[str, Pair] = {}
+    bound: dict[str, Value] = {}
     for attr in f.inputs:
-        match = next((p for p in pairs if p.attribute == attr), None)
-        if match is None:
+        first = next(iter(values.get(attr, ())), None)
+        if first is None:
             return None
-        bound[attr] = match
-    if f.guard is not None and not match_pair(bound[f.guard.attribute], f.guard):
+        bound[attr] = first
+    guard = f.guard
+    if guard is not None and not guard.op.holds(bound[guard.attribute], guard.value):
         return None
 
     body = f.body
     if isinstance(body, Rename):
-        return Pair(f.output, bound[body.input].value)
+        return Pair(f.output, bound[body.input])
     if isinstance(body, Const):
         return Pair(f.output, body.value)
 
-    source = bound[body.input].value
+    source = bound[body.input]
     if not source.is_int:
         return None
     if isinstance(body, Linear):

@@ -63,8 +63,9 @@ _K = TypeVar("_K")
 def _hash_once(cls: type[_T]) -> type[_T]:
     """Keep the dataclass-generated hash after its first computation.
 
-    Entities are immutable and serve as memo keys again and again; the
-    generated hash rehashes every nested entity on each call.  The kept
+    Entities are immutable and serve as keys of sets, dicts and
+    `semantic.sem_match`'s memo again and again; the generated hash
+    rehashes every nested entity on each call.  The kept
     value is the generated one, over compared fields only (so never `id`),
     computed on first use rather than at construction, because most parsed
     entities are never hashed.  The pickled state is exactly the dataclass
@@ -93,10 +94,11 @@ def _hash_once(cls: type[_T]) -> type[_T]:
 def kept(entity: Any, name: str, key: _K, build: Callable[[Any, _K], _T]) -> _T:
     """`build(entity, key)`, built on first use and kept on the entity.
 
-    A relation keeps here the per-attribute summary of an entity it
-    quantifies over, the way `_hash_once` keeps the hash: as an instance
-    attribute, outside the compared fields and the pickled state.  `key` is
-    the hierarchy the summary is built under; asked under another one, it is
+    Routing and the relations keep here what they derive from an entity (a
+    normal form, a per-attribute summary, an attribute set), the way
+    `_hash_once` keeps the hash: as an instance attribute, outside the
+    compared fields and the pickled state.  `key` is the hierarchy or
+    knowledge base it is built under; asked under another one, it is
     rebuilt, and only the last is kept.
     """
     held = getattr(entity, name, None)

@@ -18,8 +18,10 @@ a stored subscription naming an attribute that is neither one of the new
 subscription's nor an ancestor of one cannot cover it.  A publish tests
 only the groups whose attributes the event carries: a subscription naming
 an attribute at which the (augmented) event has no value cannot match it.
-Outgoing messages follow the order of the broker's clients and neighbors,
-not the walk, so a run replays deterministically.  An empty knowledge base
+A subscription keeps its attribute set and reach (`model.kept`, under the
+knowledge base), so the brokers on its path compute them once.  Outgoing
+messages follow the order of the broker's clients and neighbors, not the
+walk, so a run replays deterministically.  An empty knowledge base
 (no synonyms, hierarchy or mappings) selects the syntactic relations, which
 equal the semantic ones over it; any other selects the semantic ones.
 """
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Union
+from typing import AbstractSet, Union
 
 from .knowledge import KnowledgeBase
-from .model import Advertisement, Event, Subscription
+from .model import Advertisement, Event, Subscription, kept
 from .semantic import (
     attribute_reach,
     carried_attributes,
@@ -113,7 +115,7 @@ class BrokerState:
             return intersects(adv, sub)
         return sem_intersects(adv, sub, self.kb)
 
-    def _carried(self, event: Event) -> frozenset[str]:
+    def _carried(self, event: Event) -> AbstractSet[str]:
         """Attributes at which `_matches` can find a value: the event's own
         under an empty knowledge base, else the augmented event's."""
         if self.kb.is_empty:
@@ -124,6 +126,15 @@ class BrokerState:
         if self.kb.is_empty:
             return match_event(event, sub)
         return sem_match(event, sub, self.kb)
+
+
+def _attribute_sets(
+    sub: Subscription, kb: KnowledgeBase
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The subscription's group key, `subscription_attributes`, and the
+    attributes it reaches, which a subscription covering it must lie within."""
+    attributes = subscription_attributes(sub, kb)
+    return attributes, attribute_reach(attributes, kb)
 
 
 def handle_advertise(
@@ -168,9 +179,8 @@ def handle_subscribe(
                 closed.discard(origin)
                 live.add(origin)
         state.gated += len(closed)
-    attributes = subscription_attributes(sub, state.kb)
+    attributes, reach = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
     if state.covering_suppression and live:
-        reach = attribute_reach(attributes, state.kb)
         for key, group in state.by_attributes.items():
             if not key <= reach:
                 continue

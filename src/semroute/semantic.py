@@ -22,18 +22,24 @@ by the simulator as a distinct verdict).  Both relations are conservative:
 a true `sem_covers` always means event-set inclusion, and a false
 `sem_intersects` always means no event can satisfy both sides.
 
-Each event is augmented once and each advertisement normalized once per
-knowledge base.  Both are kept keyed by attribute, so a subscription
-predicate meets only the event values of its own attribute, through the
-same `syntactic.values_satisfy` loop `match_event` runs.  Both lifted
-relations ask the summaries `syntactic` defines, built over the knowledge
-base's hierarchy, instead of scanning the side they quantify over:
+`augment` builds the augmented event's values by attribute in one pass,
+with the provenance of each added value, which `--explain` prints.  Routing
+keeps on each entity, with `model.kept`, what it derives from it under the
+last knowledge base asked: a subscription's normal form, an
+advertisement's normal form keyed by attribute, and an event's augmented
+values summarised as one `syntactic.Implied` per attribute over a `(a = v)`
+predicate per value.  A predicate holds for some value at its attribute iff
+some `(a = v)` implies it, so `sem_match` asks `all_implied`, the covering
+kernel, as `match_event` does.  `sem_match`'s memo is the only module-level
+cache.  Both lifted relations ask the summaries `syntactic` defines, built
+over the knowledge base's hierarchy, instead of scanning the side they
+quantify over:
 
 - `sem_covers` keeps on the covered subscription, for the last knowledge
   base it was asked under, an `Implied` per attribute over the predicates
   there and at its descendants, with `=` values lifted to their ancestor
   chains;
-- on its first `sem_intersects`, an advertisement's memo entry gets a
+- on its first `sem_intersects`, an advertisement's kept normal form gets a
   `Gate` per attribute, merged once over the attribute alone and once over
   it and all its descendants (one gate serves both when no descendant is
   advertised).  A subscription predicate meets only the merged gate at its
@@ -47,6 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import AbstractSet, Optional
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -65,7 +72,7 @@ from .syntactic import (
     Implied,
     all_implied,
     implied_by_attribute,
-    values_satisfy,
+    implied_by_values,
 )
 
 
@@ -85,7 +92,25 @@ class AugmentedEvent:
     """A normalized event plus the pairs contributed by augmentation."""
 
     base: Event
-    added: tuple[AddedPair, ...]
+    # Each attribute's values, each once, in the order they became visible:
+    # the base event's first, mapped to None, then the added ones, mapped to
+    # their provenance.
+    values: dict[str, dict[Value, Optional[Provenance]]]
+    # The attribute of each added value, in the order they were added.
+    order: tuple[str, ...]
+
+    @property
+    def added(self) -> tuple[AddedPair, ...]:
+        """The added pairs, in the order they were added."""
+        later = {
+            attribute: iter([(v, p) for v, p in held.items() if p is not None])
+            for attribute, held in self.values.items()
+        }
+        return tuple(
+            AddedPair(Pair(attribute, value), provenance)
+            for attribute in self.order
+            for value, provenance in (next(later[attribute]),)
+        )
 
     def all_pairs(self) -> tuple[Pair, ...]:
         return self.base.pairs + tuple(ap.pair for ap in self.added)
@@ -127,12 +152,6 @@ def normalize_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisem
     )
 
 
-def _value_chain(value: Value, kb: KnowledgeBase) -> tuple[Value, ...]:
-    if not value.is_string:
-        return (value,)
-    return (value,) + tuple(Value.string(t) for t in kb.ancestors(value.data))
-
-
 def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     """Add hierarchy generalizations, then mapping outputs, to an event.
 
@@ -142,40 +161,41 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     Mapping functions each run at most once, in document order, over the
     base and hierarchy-added pairs only; their outputs do not feed later
     functions.
+
+    The pass fills the values by attribute directly (`AugmentedEvent.values`);
+    the added pairs are built from them only when asked for.
     """
-    seen = set(event.pairs)
-    added: list[AddedPair] = []
+    values: dict[str, dict[Value, Optional[Provenance]]] = {}
     for pair in event.pairs:
-        attr_chain = (pair.attribute,) + kb.ancestors(pair.attribute)
-        value_chain = _value_chain(pair.value, kb)
-        for attr in attr_chain:
-            for value in value_chain:
-                candidate = Pair(attr, value)
-                if candidate in seen:
-                    continue
-                seen.add(candidate)
-                added.append(AddedPair(candidate, Provenance.HIERARCHY))
+        values.setdefault(pair.attribute, {})[pair.value] = None
+    order: list[str] = []
+    for pair in event.pairs:
+        value = pair.value
+        chain = (value, *kb.ancestor_values(value.data)) if value.is_string else (value,)
+        for attribute in (pair.attribute, *kb.ancestors(pair.attribute)):
+            held = values.setdefault(attribute, {})
+            for v in chain:
+                if v not in held:
+                    held[v] = Provenance.HIERARCHY
+                    order.append(attribute)
 
-    visible = list(event.pairs) + [ap.pair for ap in added]
-    for f in kb.mappings:
-        output = apply_mapping(f, visible, kb.reference_year)
-        if output is not None and output not in seen:
-            seen.add(output)
-            added.append(AddedPair(output, Provenance.MAPPING))
-    return AugmentedEvent(event, tuple(added))
-
-
-def augmented_values(event: Event, kb: KnowledgeBase) -> dict[str, list[Value]]:
-    """The augmented event's values, keyed by attribute.
-
-    Its keys are the attributes the event carries a value at: the root forms
-    of its own attributes, their ancestors, and the mapping outputs.
-    """
-    pairs = augment(normalize_event(event, kb), kb).all_pairs()
-    return group_by_attribute((p.attribute, p.value) for p in pairs)
+    # Every mapping reads the values before any output joins them.
+    outputs = [apply_mapping(f, values, kb.reference_year) for f in kb.mappings]
+    for output in outputs:
+        if output is None:
+            continue
+        held = values.setdefault(output.attribute, {})
+        if output.value not in held:
+            held[output.value] = Provenance.MAPPING
+            order.append(output.attribute)
+    return AugmentedEvent(event, values, tuple(order))
 
 
-_augmented = lru_cache(maxsize=None)(augmented_values)
+def augmented_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
+    """What the augmented event implies, per attribute it carries a value at:
+    the root forms of its own attributes, their ancestors, and the mapping
+    outputs (`syntactic.implied_by_values`)."""
+    return implied_by_values(augment(normalize_event(event, kb), kb).values)
 
 
 class _Advertised:
@@ -208,27 +228,31 @@ class _Advertised:
         return own, merged
 
 
-_advertised = lru_cache(maxsize=None)(_Advertised)
+def _advertised(adv: Advertisement, kb: KnowledgeBase) -> _Advertised:
+    return kept(adv, "_advertised", kb, _Advertised)
 
 
-@lru_cache(maxsize=None)
-def _normalized_sub(sub: Subscription, kb: KnowledgeBase) -> Subscription:
-    return normalize_subscription(sub, kb)
+def _normalized(sub: Subscription, kb: KnowledgeBase) -> Subscription:
+    return kept(sub, "_normalized", kb, normalize_subscription)
 
 
-def carried_attributes(event: Event, kb: KnowledgeBase) -> frozenset[str]:
-    """The attributes of `augmented_values(event, kb)`.
+def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
+    return kept(event, "_augmented", kb, augmented_implied)
+
+
+def carried_attributes(event: Event, kb: KnowledgeBase) -> AbstractSet[str]:
+    """The attributes of `augmented_implied(event, kb)`.
 
     `sem_match` needs a value at every normalized predicate attribute, so it
     can hold only if `subscription_attributes(sub, kb)` lies within these.
     """
-    return frozenset(_augmented(event, kb))
+    return _augmented(event, kb).keys()
 
 
 @lru_cache(maxsize=None)
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
-    return values_satisfy(_augmented(event, kb), _normalized_sub(sub, kb))
+    return all_implied(_normalized(sub, kb).predicates, _augmented(event, kb))
 
 
 def pair_sem_matches(pair: Pair, pred: Predicate, kb: KnowledgeBase) -> bool:
@@ -284,12 +308,14 @@ def subscription_attributes(sub: Subscription, kb: KnowledgeBase) -> frozenset[s
 
 
 def attribute_reach(attributes: frozenset[str], kb: KnowledgeBase) -> frozenset[str]:
-    """The root-form attributes together with all their hierarchy ancestors."""
-    return attributes.union(*(kb.ancestors(a) for a in attributes))
+    """The root-form attributes together with all their hierarchy ancestors;
+    `attributes` itself when none has an ancestor."""
+    above = [chain for chain in map(kb.ancestors, attributes) if chain]
+    return attributes.union(*above) if above else attributes
 
 
 def _lifted_implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
-    return implied_by_attribute(_normalized_sub(sub, kb).predicates, kb)
+    return implied_by_attribute(_normalized(sub, kb).predicates, kb)
 
 
 def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
@@ -314,7 +340,7 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     `attribute_reach(subscription_attributes(s2, kb), kb)`.
     """
     implied = kept(s2, "_sem_implied", kb, _lifted_implied)
-    return all_implied(_normalized_sub(s1, kb).predicates, implied)
+    return all_implied(_normalized(s1, kb).predicates, implied)
 
 
 def _meets_some(
@@ -345,5 +371,5 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     """
     own, below = _advertised(adv, kb).gates
     return all(
-        _meets_some(sp, own, below, kb) for sp in _normalized_sub(sub, kb).predicates
+        _meets_some(sp, own, below, kb) for sp in _normalized(sub, kb).predicates
     )

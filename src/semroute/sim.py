@@ -55,14 +55,15 @@ from .model import (
 )
 from .routing import BrokerState, Message, MessageKind, handle_message
 from .semantic import (
-    augmented_values,
+    augmented_implied,
     normalize_subscription,
     sem_determines,
     sem_match,
     subscription_attributes,
 )
+from .syntactic import all_implied
 # Nothing here calls `match_event`; `bench/tracing.py` patches it by name.
-from .syntactic import match_event, values_satisfy  # noqa: F401
+from .syntactic import match_event  # noqa: F401
 
 
 class ScenarioError(ValueError):
@@ -401,10 +402,11 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     Topology-free: a published event is due at every client whose earlier
     subscription matches semantically over `relation_knowledge`, that is over
     the empty knowledge base in syntactic mode.  Each subscription is
-    normalized once, when it becomes active, and each event augmented once;
-    a subscription is tested only if the event carries all its attributes.
-    The oracle keeps no state between calls and reads none of the memo
-    caches routing fills.
+    normalized once, when it becomes active, and each event augmented and
+    summarised once (`augmented_implied`); a subscription is tested only if
+    the event carries all its attributes.  The oracle keeps no state between
+    calls, and neither reads nor keeps anything on the entities or in
+    `sem_match`'s memo.
     """
     kb = relation_knowledge(scenario.mode, scenario.kb)
     active: list[tuple[str, frozenset[str], Subscription]] = []
@@ -415,10 +417,10 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
             attributes = subscription_attributes(sub, kb)
             active.append((action.frm, attributes, sub))
         elif action.kind is MessageKind.PUBLISH:
-            values = augmented_values(action.payload, kb)
-            carried = frozenset(values)
+            implied = augmented_implied(action.payload, kb)
+            carried = implied.keys()
             for client, attributes, sub in active:
-                if attributes <= carried and values_satisfy(values, sub):
+                if attributes <= carried and all_implied(sub.predicates, implied):
                     expected.add((client, action.index))
     return expected
 

@@ -18,13 +18,15 @@ Each relation keeps a summary of the side it quantifies over on that
 entity (`model.kept`), built on first use, so a test makes a few lookups
 per predicate instead of a scan of the other side: `covers` keeps an
 `Implied` per attribute of the covered subscription, `intersects` a `Gate`
-per attribute of the advertisement, and `match_event` reads the event's
-values keyed by attribute (`Event.by_attribute`) through `values_satisfy`.
+per attribute of the advertisement, and `match_event` an `Implied` per
+attribute of the event over one `(a = v)` predicate per value, since a
+predicate holds for some value there iff one of those implies it.
+`match_pair` stays as the reference for matching.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Mapping, Optional, Protocol
 
 from .model import (
     Advertisement,
@@ -34,6 +36,7 @@ from .model import (
     RelOp,
     Subscription,
     Value,
+    ValueKind,
     group_by_attribute,
     kept,
 )
@@ -70,24 +73,17 @@ def match_pair(pair: Pair, pred: Predicate) -> bool:
     return pair.attribute == pred.attribute and pred.op.holds(pair.value, pred.value)
 
 
-def values_satisfy(values: dict[str, list[Value]], sub: Subscription) -> bool:
-    """True iff each predicate of sub holds for some value at its attribute.
-
-    `values` is keyed by attribute, as `Event.by_attribute` and
-    `semantic.augmented_values` give it.
-    """
-    for pred in sub.predicates:
-        for value in values.get(pred.attribute, ()):
-            if pred.op.holds(value, pred.value):
-                break
-        else:
-            return False
-    return True
+def _event_implied(event: Event, hierarchy: Hierarchy) -> dict[str, Implied]:
+    return implied_by_values(event.by_attribute)
 
 
 def match_event(event: Event, sub: Subscription) -> bool:
-    """True iff every predicate of sub is matched by some pair of event."""
-    return values_satisfy(event.by_attribute, sub)
+    """True iff every predicate of sub is matched by some pair of event.
+
+    The event's values are summarised per attribute once (`Implied`), so
+    each predicate costs a lookup.
+    """
+    return all_implied(sub.predicates, kept(event, "_implied", _FLAT, _event_implied))
 
 
 def determines(adv: Advertisement, event: Event) -> bool:
@@ -239,10 +235,23 @@ class Implied:
         self.floor: Optional[int] = max(lows, default=None)
         self.ceil: Optional[int] = min(highs, default=None)
 
+    @classmethod
+    def of_values(cls, values: Iterable[Value]) -> "Implied":
+        """The summary of one `(a = v)` predicate per value v, under a flat
+        hierarchy: some value satisfies p iff this implies p."""
+        summary = cls.__new__(cls)
+        summary.values = frozenset(values)
+        ints = [v.data for v in summary.values if v.kind is ValueKind.INT]
+        summary.above = summary.excluded = _NONE
+        summary.floor = max(ints, default=None)
+        summary.ceil = min(ints, default=None)
+        return summary
+
     def implies(self, p: Predicate) -> bool:
         v = p.value
         if p.op is RelOp.EQ:
-            return v in self.values or (v.is_string and v.data in self.above)
+            # `above` holds only terms, so only a string's data can be in it.
+            return v in self.values or v.data in self.above
         if p.op is RelOp.NE:
             return v in self.excluded or _holds_other(self.values, v)
         lo, hi = interval(p)
@@ -263,6 +272,11 @@ def implied_by_attribute(
         for attribute in (p.attribute, *hierarchy.ancestors(p.attribute))
     )
     return {a: Implied(group, hierarchy) for a, group in grouped.items()}
+
+
+def implied_by_values(values: Mapping[str, Iterable[Value]]) -> dict[str, Implied]:
+    """An `Implied` for each attribute over its values, keyed as given."""
+    return {a: Implied.of_values(vs) for a, vs in values.items()}
 
 
 def all_implied(preds: Iterable[Predicate], implied: dict[str, Implied]) -> bool:

@@ -404,60 +404,59 @@ class TestApplyMapping:
         event = parse_event(
             '{(university, "y"), ("work experience", true), ("graduation date", 1990)}'
         )
-        out = apply_mapping(years_since_f1(example_kb), event, 2003)
+        out = apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003)
         assert out == Pair("professional experience", Value.integer(13))
 
     def test_missing_input_yields_nothing(self, example_kb):
         event = parse_event('{("work experience", true)}')
-        assert apply_mapping(years_since_f1(example_kb), event, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
 
     def test_failing_guard_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", false), ("graduation date", 1990)}'
         )
-        assert apply_mapping(years_since_f1(example_kb), event, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
 
     def test_non_integer_source_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", true), ("graduation date", "unknown")}'
         )
-        assert apply_mapping(years_since_f1(example_kb), event, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
 
     def test_first_occurrence_is_bound(self, example_kb):
-        pairs = (
-            Pair("work experience", Value.boolean(True)),
-            Pair("graduation date", Value.integer(2000)),
-            Pair("graduation date", Value.integer(1990)),
-        )
-        out = apply_mapping(years_since_f1(example_kb), pairs, 2003)
+        values = {
+            "work experience": [Value.boolean(True)],
+            "graduation date": [Value.integer(2000), Value.integer(1990)],
+        }
+        out = apply_mapping(years_since_f1(example_kb), values, 2003)
         assert out == Pair("professional experience", Value.integer(3))
 
     def test_rename(self):
         f = MappingFunction("r", ("a",), None, "b", Rename("a"))
-        out = apply_mapping(f, (Pair("a", Value.string("x")),), 0)
+        out = apply_mapping(f, {"a": [Value.string("x")]}, 0)
         assert out == Pair("b", Value.string("x"))
 
     def test_const(self):
         f = MappingFunction("c", ("a",), None, "b", Const(Value.boolean(True)))
-        out = apply_mapping(f, (Pair("a", Value.integer(1)),), 0)
+        out = apply_mapping(f, {"a": [Value.integer(1)]}, 0)
         assert out == Pair("b", Value.boolean(True))
 
     def test_linear(self):
         f = MappingFunction("l", ("a",), None, "b", Linear("a", scale=3, offset=-2))
-        out = apply_mapping(f, (Pair("a", Value.integer(10)),), 0)
+        out = apply_mapping(f, {"a": [Value.integer(10)]}, 0)
         assert out == Pair("b", Value.integer(28))
 
     def test_overflow_is_an_error(self):
         f = MappingFunction("l", ("a",), None, "b", Linear("a", scale=2, offset=0))
         with pytest.raises(MappingEvaluationError) as info:
-            apply_mapping(f, (Pair("a", Value.integer(INT_MAX)),), 0)
+            apply_mapping(f, {"a": [Value.integer(INT_MAX)]}, 0)
         assert info.value.function_name == "l"
 
     def test_guard_with_ordering_operator(self):
         guard = Predicate("a", RelOp.GE, Value.integer(10))
         f = MappingFunction("g", ("a",), guard, "b", Rename("a"))
-        assert apply_mapping(f, (Pair("a", Value.integer(9)),), 0) is None
-        assert apply_mapping(f, (Pair("a", Value.integer(10)),), 0) == Pair(
+        assert apply_mapping(f, {"a": [Value.integer(9)]}, 0) is None
+        assert apply_mapping(f, {"a": [Value.integer(10)]}, 0) == Pair(
             "b", Value.integer(10)
         )
 

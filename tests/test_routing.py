@@ -267,6 +267,24 @@ class TestSubscribeAttributeGroups:
         assert second == []
         assert state.suppressed == 1
 
+    def test_kept_attribute_sets_follow_the_brokers_knowledge_base(self):
+        # The subscription keeps its attribute set and reach; a broker under
+        # another knowledge base gets its own.
+        adv = parse_advertisement("(volume >= 0) AND (item >= 0)")
+        stored = parse_subscription("(item >= 5)")
+        later = parse_subscription("(volume >= 7)")
+        empty = KnowledgeBase.empty()
+        for kb, key, suppressed in (
+            (self.KB, "book", 1),
+            (empty, "volume", 0),
+            (self.KB, "book", 1),
+        ):
+            state, _ = handle_advertise(broker(kb=kb), adv, frm="b1")
+            state, _ = handle_subscribe(state, stored, frm="c1")
+            state, _ = handle_subscribe(state, later, frm="c1")
+            assert frozenset({key}) in state.by_attributes
+            assert state.suppressed == suppressed
+
 
 class TestPublish:
     def routed(self):

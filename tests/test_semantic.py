@@ -1,5 +1,6 @@
 import random
 
+import semroute.semantic as semantic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from semroute.knowledge import (
     KnowledgeBase,
     MappingFunction,
     Rename,
+    apply_mapping,
     load_knowledge,
 )
 from semroute.model import (
@@ -17,6 +19,7 @@ from semroute.model import (
     RelOp,
     Subscription,
     Value,
+    group_by_attribute,
     parse_advertisement,
     parse_event,
     parse_subscription,
@@ -25,6 +28,7 @@ from semroute.semantic import (
     Provenance,
     attribute_reach,
     augment,
+    carried_attributes,
     normalize_advertisement,
     normalize_event,
     normalize_subscription,
@@ -34,7 +38,7 @@ from semroute.semantic import (
     sem_match,
     subscription_attributes,
 )
-from semroute.syntactic import covers, implies, intersects, match_event
+from semroute.syntactic import covers, implies, intersects, match_event, match_pair
 
 from .bruteforce import (
     covering_counterexample,
@@ -44,6 +48,7 @@ from .bruteforce import (
     witness_exists,
 )
 from .conftest import (
+    events_from,
     make_forest_kb,
     random_advertisement,
     random_subscription,
@@ -51,6 +56,7 @@ from .conftest import (
     predicates_from,
     relation_case,
     subscriptions_from,
+    values_from,
 )
 
 ENCYCLOPEDIA_EVENT = parse_event('{(encyclopedia, "Stone Age"), (subject, "crocodiles")}')
@@ -324,6 +330,221 @@ class TestSemMatchProperties:
             for k in (1, 2, 3):
                 event = _two_attribute_event(rng, k)
                 assert sem_match(event, sub, kb) == match_event(event, sub)
+
+
+def _scan(pairs, sub: Subscription) -> bool:
+    """The reference match: each predicate meets some pair (`match_pair`)."""
+    return all(any(match_pair(p, pred) for p in pairs) for pred in sub.predicates)
+
+
+# Values that collide under Python's own equality (0 == False, 1 == True)
+# but not as `Value`s, and a string.
+COLLIDING = [
+    Value.integer(0),
+    Value.integer(1),
+    Value.integer(2),
+    Value.boolean(False),
+    Value.boolean(True),
+    Value.string("x"),
+]
+
+
+@st.composite
+def _multi_valued_case(draw):
+    """An event carrying one or several values at each attribute, and a
+    subscription whose `=` and `!=` name those values and whose half-lines
+    bound the integers among them."""
+    values = st.sampled_from(COLLIDING)
+    held = draw(
+        st.dictionaries(st.sampled_from(["a", "b"]), st.lists(values, min_size=1, max_size=4), min_size=1)
+    )
+    event = Event(tuple(Pair(a, v) for a, vs in held.items() for v in vs))
+    pred = st.one_of(
+        st.builds(Predicate, st.sampled_from(["a", "b"]), st.sampled_from([RelOp.EQ, RelOp.NE]), values),
+        st.builds(
+            Predicate,
+            st.sampled_from(["a", "b"]),
+            st.sampled_from([RelOp.LT, RelOp.LE, RelOp.GT, RelOp.GE]),
+            st.integers(-1, 3).map(Value.integer),
+        ),
+    )
+    sub = Subscription(tuple(draw(st.lists(pred, min_size=1, max_size=3))))
+    return event, sub
+
+
+def _mapped_forest(seed: int) -> tuple[KnowledgeBase, list[str], list[str]]:
+    """A random forest with synonyms and two rename mappings: `f` copies a
+    hierarchy term, often carried at once by the event and by a
+    generalization, to `cost`; `g` copies `cost` to `fee`, so it fires only
+    when the event itself carries `cost`.  Returns the knowledge base, its
+    root terms and every spelling of them."""
+    rng = random.Random(seed)
+    forest = make_forest_kb(rng, rng.randint(3, 8), with_synonyms=True)
+    roots = sorted({t for edge in forest.hierarchy for t in edge} | {g.root for g in forest.synonyms})
+    parents = sorted({parent for _, parent in forest.hierarchy}) or roots
+    source = rng.choice(parents)
+    kb = KnowledgeBase(
+        forest.synonyms,
+        forest.hierarchy,
+        (
+            MappingFunction("f", (source,), None, "cost", Rename(source)),
+            MappingFunction("g", ("cost",), None, "fee", Rename("cost")),
+        ),
+        forest.reference_year,
+    )
+    return kb, roots, roots + sorted(m for g in kb.synonyms for m in g.members)
+
+
+@st.composite
+def _augmentation_case(draw):
+    """A `_mapped_forest` and an event over its spellings, `cost` and `fee`;
+    the event often repeats one of its pairs in another spelling, so that
+    two base pairs normalize to one."""
+    kb, _, spellings = _mapped_forest(draw(st.integers(0, 2**32)))
+    attrs = st.sampled_from(spellings + ["cost", "fee"])
+    pairs = draw(st.lists(st.builds(Pair, attrs, values_from(spellings)), min_size=1, max_size=4))
+
+    def respelled(term: str) -> str:
+        root = kb.root_term(term)
+        return draw(st.sampled_from([root, *sorted(m for g in kb.synonyms if g.root == root for m in g.members)]))
+
+    if draw(st.booleans()):
+        pair = draw(st.sampled_from(pairs))
+        value = pair.value
+        if value.is_string:
+            value = Value.string(respelled(value.data))
+        pairs.append(Pair(respelled(pair.attribute), value))
+    return kb, Event(tuple(pairs))
+
+
+def _reference_augment(event: Event, kb: KnowledgeBase) -> list[tuple[Pair, Provenance]]:
+    """Augmentation pair by pair: each base pair's attribute and value chains
+    crossed, skipping pairs seen before (the base pairs among them), then
+    each mapping over the base and hierarchy-added pairs, its inputs bound
+    to their first occurrence there."""
+    seen = set(event.pairs)
+    added: list[tuple[Pair, Provenance]] = []
+    for pair in event.pairs:
+        chain = [pair.value]
+        if pair.value.is_string:
+            chain += [Value.string(t) for t in kb.ancestors(pair.value.data)]
+        for attribute in (pair.attribute, *kb.ancestors(pair.attribute)):
+            for value in chain:
+                candidate = Pair(attribute, value)
+                if candidate not in seen:
+                    seen.add(candidate)
+                    added.append((candidate, Provenance.HIERARCHY))
+    visible = list(event.pairs) + [p for p, _ in added]
+    for f in kb.mappings:
+        first = {}
+        for p in visible:
+            first.setdefault(p.attribute, [p.value])
+        output = apply_mapping(f, first, kb.reference_year)
+        if output is not None and output not in seen:
+            seen.add(output)
+            added.append((output, Provenance.MAPPING))
+    return added
+
+
+PROPERTY = settings(derandomize=True, max_examples=400, deadline=None)
+
+
+class TestMatchByImplication:
+    """`match_event`, `sem_match` and the oracle ask a per-attribute summary
+    of the event's values; each equals the `match_pair` scan."""
+
+    @PROPERTY
+    @given(_multi_valued_case())
+    def test_summary_equals_the_pair_scan(self, case):
+        event, sub = case
+        expected = _scan(event.pairs, sub)
+        assert match_event(event, sub) == expected
+        assert sem_match.__wrapped__(event, sub, KnowledgeBase.empty()) == expected
+
+    def test_inequality_against_one_and_several_values(self):
+        one = parse_event("{(a, 1)}")
+        several = Event((Pair("a", Value.integer(1)), Pair("a", Value.boolean(True))))
+        ne = parse_subscription("(a != 1)")
+        assert not match_event(one, ne)
+        assert match_event(several, ne)  # true differs from 1
+        assert match_event(one, parse_subscription("(a != true)"))
+        assert not match_event(one, parse_subscription("(a = true)"))
+
+    @PROPERTY
+    @given(_augmentation_case(), subscriptions_from(["t0", "t1", "t2", "cost", "fee"], ["t0", "t1", "t2"]))
+    def test_sem_match_equals_the_scan_of_the_augmented_event(self, case, sub):
+        kb, event = case
+        pairs = augment(normalize_event(event, kb), kb).all_pairs()
+        expected = _scan(pairs, normalize_subscription(sub, kb))
+        assert sem_match.__wrapped__(event, sub, kb) == expected
+
+
+class TestAugmentOnce:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_augmentation_case())
+    def test_equals_the_pair_by_pair_loop(self, case):
+        kb, event = case
+        base = normalize_event(event, kb)
+        augmented = augment(base, kb)
+        reference = _reference_augment(base, kb)
+        assert [(a.pair, a.provenance) for a in augmented.added] == reference
+        visible = dict.fromkeys((p.attribute, p.value) for p in augmented.all_pairs())
+        assert {a: list(held) for a, held in augmented.values.items()} == group_by_attribute(visible)
+
+    def test_two_spellings_of_one_pair_add_it_once(self, example_kb):
+        event = normalize_event(parse_event('{(car, "automobile"), (vehicle, "car")}'), example_kb)
+        assert event.pairs[0] == event.pairs[1]
+        augmented = augment(event, example_kb)
+        assert augmented.added == ()
+        assert augmented.values == {"vehicle": {Value.string("vehicle"): None}}
+
+    def test_mapping_inputs_bound_to_their_first_occurrence(self):
+        kb = KnowledgeBase(
+            hierarchy=[("a", "b")],
+            mappings=[MappingFunction("f", ("b",), None, "c", Rename("b"))],
+        )
+        added = augment(parse_event("{(a, 7), (b, 1)}"), kb).added
+        assert [a.pair for a in added] == [Pair("b", Value.integer(7)), Pair("c", Value.integer(1))]
+        added = augment(parse_event("{(a, 7)}"), kb).added
+        assert [a.pair for a in added] == [Pair("b", Value.integer(7)), Pair("c", Value.integer(7))]
+
+
+class TestKeptForms:
+    """Routing keeps each entity's normal form, augmentation and summaries on
+    it under the last knowledge base asked; asked under another, each
+    answers for that one."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 2**32),
+        events_from(["t0", "t1", "t2", "cost"], ["t0", "t1", "t2"]),
+        subscriptions_from(["t0", "t1", "t2", "cost"], ["t0", "t1", "t2"]),
+        st.lists(predicates_from(["t0", "t1", "t2"], ["t0", "t1", "t2"]), min_size=1, max_size=4),
+    )
+    def test_a_second_knowledge_base_gets_its_own_answers(self, seed1, seed2, event, sub, preds):
+        adv, s1 = Advertisement(tuple(preds)), Subscription(tuple(preds))
+        kbs = (_mapped_forest(seed1)[0], _mapped_forest(seed2)[0], KnowledgeBase.empty())
+        for kb in (*kbs, kbs[0]):
+            fresh_event, fresh_sub = Event(event.pairs), Subscription(sub.predicates)
+            fresh_adv, fresh_s1 = Advertisement(adv.predicates), Subscription(s1.predicates)
+            assert sem_match.__wrapped__(event, sub, kb) == sem_match.__wrapped__(fresh_event, fresh_sub, kb)
+            assert carried_attributes(event, kb) == carried_attributes(fresh_event, kb)
+            assert sem_covers(s1, sub, kb) == sem_covers(fresh_s1, fresh_sub, kb)
+            assert sem_covers(sub, s1, kb) == sem_covers(fresh_sub, fresh_s1, kb)
+            assert sem_intersects(adv, sub, kb) == sem_intersects(fresh_adv, fresh_sub, kb)
+            assert sem_determines(adv, event, kb) == sem_determines(fresh_adv, fresh_event, kb)
+
+
+def test_no_module_level_cache_but_sem_match():
+    memos = [name for name, obj in vars(semantic).items() if hasattr(obj, "cache_info")]
+    assert memos == ["sem_match"]
+    containers = [
+        name
+        for name, obj in vars(semantic).items()
+        if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+    ]
+    assert containers == []
 
 
 class TestSemCovers:

@@ -502,6 +502,34 @@ class TestOracleReferee:
         assert delivered > 0
 
 
+class TestOracleKeepsNothing:
+    """The oracle builds its own forms and summaries: it gives the same set,
+    and adds or replaces no attribute on any entity, whether or not `run`
+    kept its own on them first."""
+
+    @staticmethod
+    def attributes(scenario: Scenario) -> list[dict[str, int]]:
+        return [
+            {name: id(value) for name, value in vars(action.payload).items()}
+            for action in scenario.script
+        ]
+
+    @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+    def test_same_set_and_no_kept_attribute(self, scenario_dir, mode):
+        kept_by_run = 0
+        for name, scenario in _referee_cases(scenario_dir):
+            scenario = scenario.with_mode(mode)
+            before = self.attributes(scenario)
+            expected = oracle_deliveries(scenario)
+            assert self.attributes(scenario) == before, name
+            run(scenario)
+            after_run = self.attributes(scenario)
+            kept_by_run += after_run != before
+            assert oracle_deliveries(scenario) == expected, name
+            assert self.attributes(scenario) == after_run, name
+        assert kept_by_run > 0
+
+
 class TestTrafficKnobs:
     def test_suppression_off_changes_traffic_not_deliveries(self):
         for seed in (0, 3, 8):
