@@ -31,19 +31,22 @@ values summarised as one `syntactic.Implied` per attribute over a `(a = v)`
 predicate per value.  A predicate holds for some value at its attribute iff
 some `(a = v)` implies it, so `sem_match` asks `all_implied`, the covering
 kernel, as `match_event` does.  `sem_match`'s memo is the only module-level
-cache.  Both lifted relations ask the summaries `syntactic` defines, built
-over the knowledge base's hierarchy, instead of scanning the side they
-quantify over:
+cache.  Every hierarchy-lifted decision asks the summaries `syntactic`
+defines, built over the knowledge base's hierarchy, instead of scanning the
+side it quantifies over:
 
 - `sem_covers` keeps on the covered subscription, for the last knowledge
   base it was asked under, an `Implied` per attribute over the predicates
   there and at its descendants, with `=` values lifted to their ancestor
   chains;
-- on its first `sem_intersects`, an advertisement's kept normal form gets a
-  `Gate` per attribute, merged once over the attribute alone and once over
-  it and all its descendants (one gate serves both when no descendant is
-  advertised).  A subscription predicate meets only the merged gate at its
-  own attribute and the plain gates at its ancestors.
+- `sem_intersects` asks an advertisement's kept normal form for one `Gate`
+  per subscription attribute, built on first use over the predicates at
+  every advertised attribute comparable with it: the attribute, its
+  ancestors and its descendants;
+- `sem_determines` (publish admission) summarises each event pair's value
+  chain, the value and its ancestor terms, as one `Implied`, and asks it
+  against the advertised predicates at the pair's attribute and its
+  ancestors.
 
 Each test is then a few set lookups per predicate.
 """
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import AbstractSet, Optional
 
 from .knowledge import KnowledgeBase, apply_mapping
@@ -61,7 +64,6 @@ from .model import (
     Event,
     Pair,
     Predicate,
-    RelOp,
     Subscription,
     Value,
     group_by_attribute,
@@ -152,6 +154,12 @@ def normalize_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisem
     )
 
 
+def value_chain(value: Value, kb: KnowledgeBase) -> tuple[Value, ...]:
+    """The value and, for a string, its ancestor term values, nearest first:
+    the values hierarchy augmentation lifts it to."""
+    return (value, *kb.ancestor_values(value.data)) if value.is_string else (value,)
+
+
 def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     """Add hierarchy generalizations, then mapping outputs, to an event.
 
@@ -170,8 +178,7 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
         values.setdefault(pair.attribute, {})[pair.value] = None
     order: list[str] = []
     for pair in event.pairs:
-        value = pair.value
-        chain = (value, *kb.ancestor_values(value.data)) if value.is_string else (value,)
+        chain = value_chain(pair.value, kb)
         for attribute in (pair.attribute, *kb.ancestors(pair.attribute)):
             held = values.setdefault(attribute, {})
             for v in chain:
@@ -206,26 +213,26 @@ class _Advertised:
         self.kb = kb
         preds = normalize_advertisement(adv, kb).predicates
         self.predicates = group_by_attribute((p.attribute, p) for p in preds)
+        self._gates: dict[str, Optional[Gate]] = {}
 
-    @cached_property
-    def gates(self) -> tuple[dict[str, Gate], dict[str, Gate]]:
-        """Gates over each attribute's own predicates, and over the
-        predicates of each attribute and all its descendants.
+    def gate(self, attribute: str) -> Optional[Gate]:
+        """The gate over the predicates at every advertised attribute
+        comparable with `attribute` (itself, its ancestors and its
+        descendants), or None when there is none.
 
-        Built on first use, because publish admission, which only needs
-        `predicates`, normalizes every advertisement while a scenario loads.
+        Built on first use and kept, so once per subscription attribute
+        asked; publish admission needs only `predicates`.
         """
-        kb = self.kb
-        own = {a: Gate(preds, kb) for a, preds in self.predicates.items()}
-        descendants: dict[str, list[Predicate]] = {}
-        for attribute, preds in self.predicates.items():
-            for term in kb.ancestors(attribute):
-                descendants.setdefault(term, []).extend(preds)
-        # An attribute with no advertised descendant shares its own gate.
-        merged = dict(own)
-        for a, preds in descendants.items():
-            merged[a] = Gate(preds + self.predicates.get(a, []), kb)
-        return own, merged
+        if attribute not in self._gates:
+            kb = self.kb
+            preds = [
+                p
+                for a, held in self.predicates.items()
+                if kb.comparable(a, attribute)
+                for p in held
+            ]
+            self._gates[attribute] = Gate(preds, kb) if preds else None
+        return self._gates[attribute]
 
 
 def _advertised(adv: Advertisement, kb: KnowledgeBase) -> _Advertised:
@@ -255,51 +262,21 @@ def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     return all_implied(_normalized(sub, kb).predicates, _augmented(event, kb))
 
 
-def pair_sem_matches(pair: Pair, pred: Predicate, kb: KnowledgeBase) -> bool:
-    """Hierarchy-lifted single-pair match over normalized inputs.
-
-    Equivalent to: some pair in the hierarchy closure of `pair` matches
-    `pred` syntactically.  The attribute must be a descendant of (or equal
-    to) the predicate attribute.  Beyond the syntactic test on the value
-    itself, only a string value climbs:
-
-      - equality holds for an ancestor, so the pair value may be a
-        descendant of the predicate value;
-      - inequality holds for any strict ancestor, which differs from the
-        value the predicate excludes.
-    """
-    if not kb.is_descendant_or_equal(pair.attribute, pred.attribute):
-        return False
-    value = pair.value
-    if pred.op.holds(value, pred.value):
-        return True
-    if pred.op is RelOp.EQ:
-        return _value_descends(value, pred.value, kb)
-    return pred.op is RelOp.NE and value.is_string and bool(kb.ancestors(value.data))
-
-
-def _value_descends(v: Value, target: Value, kb: KnowledgeBase) -> bool:
-    if v == target:
-        return True
-    return (
-        v.is_string
-        and target.is_string
-        and kb.is_descendant_or_equal(v.data, target.data)
-    )
-
-
 def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
-    under hierarchy-lifted matching."""
+    under hierarchy-lifted matching: one at the pair's attribute or an
+    ancestor of it that some value on the pair's value chain satisfies."""
     advertised = _advertised(adv, kb).predicates
-    return all(
-        any(
-            pair_sem_matches(pair, pred, kb)
-            for attribute in (pair.attribute, *kb.ancestors(pair.attribute))
+    for pair in event.pairs:
+        root = kb.root_term(pair.attribute)
+        chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
+        if not any(
+            chain.implies(pred)
+            for attribute in (root, *kb.ancestors(root))
             for pred in advertised.get(attribute, ())
-        )
-        for pair in normalize_event(event, kb).pairs
-    )
+        ):
+            return False
+    return True
 
 
 def subscription_attributes(sub: Subscription, kb: KnowledgeBase) -> frozenset[str]:
@@ -343,21 +320,6 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     return all_implied(_normalized(s1, kb).predicates, implied)
 
 
-def _meets_some(
-    sp: Predicate, own: dict[str, Gate], below: dict[str, Gate], kb: KnowledgeBase
-) -> bool:
-    """True iff a gate over an attribute comparable with sp's meets sp: the
-    merged gate at sp's attribute, or the own gate at one of its ancestors."""
-    gate = below.get(sp.attribute)
-    if gate is not None and gate.meets(sp, kb):
-        return True
-    for attribute in kb.ancestors(sp.attribute):
-        gate = own.get(attribute)
-        if gate is not None and gate.meets(sp, kb):
-            return True
-    return False
-
-
 def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff some event could be semantically determined by adv while
     semantically matching sub.
@@ -369,7 +331,9 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     admitted by some advertisement predicate on a comparable attribute
     (see `syntactic.Gate`).
     """
-    own, below = _advertised(adv, kb).gates
-    return all(
-        _meets_some(sp, own, below, kb) for sp in _normalized(sub, kb).predicates
-    )
+    advertised = _advertised(adv, kb)
+    for sp in _normalized(sub, kb).predicates:
+        gate = advertised.gate(sp.attribute)
+        if gate is None or not gate.meets(sp, kb):
+            return False
+    return True

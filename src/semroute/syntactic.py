@@ -4,8 +4,9 @@ All relations here compare attribute names literally.  The operator rules
 live here, in two forms.  `implies` and `jointly_satisfiable` decide one
 pair of predicates; they are the reference.  `Implied` and `Gate` answer
 the same questions against a per-attribute summary of many predicates, and
-the relations use those: the semantic layer builds them over its hierarchy,
-where the syntactic relations build them over a flat one.
+the relations use those.  Both take a `KnowledgeBase`: the semantic layer
+builds them over its hierarchy, and the syntactic relations over one empty
+knowledge base, built at import, under which no term has a relative.
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
@@ -26,8 +27,9 @@ predicate holds for some value there iff one of those implies it.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Iterable, Mapping, Optional
 
+from .knowledge import KnowledgeBase
 from .model import (
     Advertisement,
     Event,
@@ -42,26 +44,9 @@ from .model import (
 )
 
 
-class Hierarchy(Protocol):
-    """The hierarchy lookups the summaries use; a `KnowledgeBase` has them."""
-
-    def ancestors(self, term: str) -> tuple[str, ...]: ...
-
-    def has_relative(self, term: str) -> bool: ...
-
-
-class _Flat:
-    """A hierarchy without edges, under which the syntactic relations build
-    their summaries."""
-
-    def ancestors(self, term: str) -> tuple[str, ...]:
-        return ()
-
-    def has_relative(self, term: str) -> bool:
-        return False
-
-
-_FLAT = _Flat()
+# The empty knowledge base the syntactic relations build their summaries
+# under: no synonyms, so names compare literally, and no hierarchy edges.
+_EMPTY = KnowledgeBase()
 _NONE: frozenset = frozenset()
 
 
@@ -73,7 +58,7 @@ def match_pair(pair: Pair, pred: Predicate) -> bool:
     return pair.attribute == pred.attribute and pred.op.holds(pair.value, pred.value)
 
 
-def _event_implied(event: Event, hierarchy: Hierarchy) -> dict[str, Implied]:
+def _event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_values(event.by_attribute)
 
 
@@ -83,7 +68,7 @@ def match_event(event: Event, sub: Subscription) -> bool:
     The event's values are summarised per attribute once (`Implied`), so
     each predicate costs a lookup.
     """
-    return all_implied(sub.predicates, kept(event, "_implied", _FLAT, _event_implied))
+    return all_implied(sub.predicates, kept(event, "_implied", _EMPTY, _event_implied))
 
 
 def determines(adv: Advertisement, event: Event) -> bool:
@@ -209,7 +194,7 @@ class Implied:
 
     __slots__ = ("values", "above", "excluded", "floor", "ceil")
 
-    def __init__(self, preds: Iterable[Predicate], hierarchy: Hierarchy):
+    def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
         values: set[Value] = set()
         excluded: set[Value] = set()
         lows: list[int] = []
@@ -229,7 +214,7 @@ class Implied:
                 else:
                     highs.append(hi)
         self.values = frozenset(values) if values else _NONE
-        above = [hierarchy.ancestors(v.data) for v in values if v.is_string]
+        above = [kb.ancestors(v.data) for v in values if v.is_string]
         self.above = frozenset().union(*above) if any(above) else _NONE
         self.excluded = frozenset(excluded) if excluded else _NONE
         self.floor: Optional[int] = max(lows, default=None)
@@ -237,14 +222,21 @@ class Implied:
 
     @classmethod
     def of_values(cls, values: Iterable[Value]) -> "Implied":
-        """The summary of one `(a = v)` predicate per value v, under a flat
-        hierarchy: some value satisfies p iff this implies p."""
+        """The summary of one `(a = v)` predicate per value v, with no value
+        lifted: some value satisfies p iff this implies p.  The values are
+        an event's at one attribute (plain, or augmented, which already
+        holds the lifted values), or one pair's value chain for publish
+        admission (`semantic.sem_determines`)."""
         summary = cls.__new__(cls)
-        summary.values = frozenset(values)
-        ints = [v.data for v in summary.values if v.kind is ValueKind.INT]
+        summary.values = held = frozenset(values)
         summary.above = summary.excluded = _NONE
-        summary.floor = max(ints, default=None)
-        summary.ceil = min(ints, default=None)
+        # Built for every event attribute and every pair publish admission
+        # asks about, so the bounds avoid `max`'s slower `default=` form.
+        ints = [v.data for v in held if v.kind is ValueKind.INT]
+        if ints:
+            summary.floor, summary.ceil = max(ints), min(ints)
+        else:
+            summary.floor = summary.ceil = None
         return summary
 
     def implies(self, p: Predicate) -> bool:
@@ -261,7 +253,7 @@ class Implied:
 
 
 def implied_by_attribute(
-    preds: Iterable[Predicate], hierarchy: Hierarchy
+    preds: Iterable[Predicate], kb: KnowledgeBase
 ) -> dict[str, Implied]:
     """An `Implied` for each attribute over its own predicates and those of
     its descendants: the keys are the predicates' attributes and their
@@ -269,9 +261,9 @@ def implied_by_attribute(
     grouped = group_by_attribute(
         (attribute, p)
         for p in preds
-        for attribute in (p.attribute, *hierarchy.ancestors(p.attribute))
+        for attribute in (p.attribute, *kb.ancestors(p.attribute))
     )
-    return {a: Implied(group, hierarchy) for a, group in grouped.items()}
+    return {a: Implied(group, kb) for a, group in grouped.items()}
 
 
 def implied_by_values(values: Mapping[str, Iterable[Value]]) -> dict[str, Implied]:
@@ -288,8 +280,8 @@ def all_implied(preds: Iterable[Predicate], implied: dict[str, Implied]) -> bool
     return True
 
 
-def _implied(sub: Subscription, hierarchy: Hierarchy) -> dict[str, Implied]:
-    return implied_by_attribute(sub.predicates, hierarchy)
+def _implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
+    return implied_by_attribute(sub.predicates, kb)
 
 
 def covers(s1: Subscription, s2: Subscription) -> bool:
@@ -301,7 +293,7 @@ def covers(s1: Subscription, s2: Subscription) -> bool:
     quantified over single pairs.  s2's predicates are summarised per
     attribute once (`Implied`), so each s1 predicate costs a lookup.
     """
-    return all_implied(s1.predicates, kept(s2, "_implied", _FLAT, _implied))
+    return all_implied(s1.predicates, kept(s2, "_implied", _EMPTY, _implied))
 
 
 class Gate:
@@ -309,9 +301,12 @@ class Gate:
     intersection asks about it.
 
     A subscription predicate sp meets the gate iff one event pair can
-    satisfy sp and some gate predicate ap; the semantic layer passes only
-    gates over attributes comparable with sp's, the deeper one being the
-    witness pair's attribute, and satisfaction there is hierarchy-lifted.
+    satisfy sp and some gate predicate ap, satisfaction being
+    hierarchy-lifted.  The semantic layer builds one gate per subscription
+    attribute, over the advertised predicates at every attribute comparable
+    with it (itself, its ancestors and its descendants): the deeper of sp's
+    and ap's attributes is the witness pair's, and in a forest no witness
+    lies under two siblings, so no other attribute can hold an ap.
     Every syntactic witness value counts, and the hierarchy adds witnesses
     only for string equality.  By operator of sp (rows) and ap (columns),
     with sp's value v and ap's value w:
@@ -325,10 +320,10 @@ class Gate:
 
     A "relative" is a strict ancestor (the witness is v itself, which also
     carries a differing generalization) or a strict descendant (the
-    witness, whose chain holds v while it differs from v).  Under a flat
-    hierarchy the table is `jointly_satisfiable`'s.  Each entry asks whether
-    some ap exists, so gates over merged predicate sets stay exact.  The
-    summary answers each in a few lookups:
+    witness, whose chain holds v while it differs from v).  Under the empty
+    knowledge base the table is `jointly_satisfiable`'s.  Each entry asks
+    whether some ap exists, so gates over merged predicate sets stay exact.
+    The summary answers each in a few lookups:
 
       - `values`: the `=` values; `terms`: the string ones; `up`: the terms
         and all their ancestors, so v lies on a path with some term iff v is
@@ -345,7 +340,7 @@ class Gate:
 
     __slots__ = ("values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
 
-    def __init__(self, preds: Iterable[Predicate], hierarchy: Hierarchy):
+    def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
         self.values: set[Value] = set()
         self.excluded: set[Value] = set()
         lows: list[int] = []
@@ -362,14 +357,14 @@ class Gate:
                 else:
                     highs.append(hi)
         self.terms = {v.data for v in self.values if v.is_string}
-        self.up = self.terms.union(*(hierarchy.ancestors(t) for t in self.terms))
+        self.up = self.terms.union(*(kb.ancestors(t) for t in self.terms))
         ints = [v.data for v in self.values if v.is_int]
         self.lo: Optional[int] = min(lows, default=None)
         self.hi: Optional[int] = max(highs, default=None)
         self.bottom: Optional[int] = min(lows + ints, default=None)
         self.top: Optional[int] = max(highs + ints, default=None)
 
-    def meets(self, sp: Predicate, hierarchy: Hierarchy) -> bool:
+    def meets(self, sp: Predicate, kb: KnowledgeBase) -> bool:
         v = sp.value
         if sp.op is RelOp.EQ:
             if _holds_other(self.excluded, v):
@@ -377,8 +372,8 @@ class Gate:
             if v.is_string:
                 return (
                     v.data in self.up
-                    or not self.terms.isdisjoint(hierarchy.ancestors(v.data))
-                    or (v in self.excluded and hierarchy.has_relative(v.data))
+                    or not self.terms.isdisjoint(kb.ancestors(v.data))
+                    or (v in self.excluded and kb.has_relative(v.data))
                 )
             if v in self.values:
                 return True
@@ -390,7 +385,7 @@ class Gate:
             if self.excluded or self.lo is not None or self.hi is not None:
                 return True
             return _holds_other(self.values, v) or (
-                v.is_string and v.data in self.terms and hierarchy.has_relative(v.data)
+                v.is_string and v.data in self.terms and kb.has_relative(v.data)
             )
         if self.excluded:
             return True
@@ -400,9 +395,9 @@ class Gate:
         return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
 
 
-def _gates(adv: Advertisement, hierarchy: Hierarchy) -> dict[str, Gate]:
+def _gates(adv: Advertisement, kb: KnowledgeBase) -> dict[str, Gate]:
     grouped = group_by_attribute((p.attribute, p) for p in adv.predicates)
-    return {a: Gate(preds, hierarchy) for a, preds in grouped.items()}
+    return {a: Gate(preds, kb) for a, preds in grouped.items()}
 
 
 def intersects(adv: Advertisement, sub: Subscription) -> bool:
@@ -415,9 +410,9 @@ def intersects(adv: Advertisement, sub: Subscription) -> bool:
     witnessing joint satisfiability.  adv's predicates are summarised per
     attribute once (`Gate`), so each subscription predicate costs a lookup.
     """
-    gates = kept(adv, "_gates", _FLAT, _gates)
+    gates = kept(adv, "_gates", _EMPTY, _gates)
     for sp in sub.predicates:
         gate = gates.get(sp.attribute)
-        if gate is None or not gate.meets(sp, _FLAT):
+        if gate is None or not gate.meets(sp, _EMPTY):
             return False
     return True

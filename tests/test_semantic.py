@@ -794,6 +794,19 @@ class TestSemIntersects:
         sub = parse_subscription('(book = "x")')
         assert not sem_intersects(adv, sub, example_kb)
 
+    def test_predicate_below_an_advertised_attribute_opens_the_gate(self, example_kb):
+        # Neither "encyclopedia" nor its parent "book" is advertised.
+        adv = parse_advertisement('("printed material" = "x")')
+        sub = parse_subscription('(encyclopedia = "x")')
+        assert sem_intersects(adv, sub, example_kb)
+
+    def test_an_advertised_sibling_attribute_does_not_open_the_gate(self):
+        kb = KnowledgeBase(hierarchy=[("hardcover", "book"), ("paperback", "book")])
+        sub = parse_subscription('(paperback = "x")')
+        adv = parse_advertisement('(hardcover = "x") AND (book >= 3)')
+        assert not sem_intersects(adv, sub, kb)
+        assert sem_intersects(parse_advertisement('(book = "x")'), sub, kb)
+
     def test_empty_kb_degenerates_to_syntactic(self):
         kb = KnowledgeBase.empty()
         for seed in range(100):
@@ -844,6 +857,12 @@ class TestSemDetermines:
     def test_hierarchy_lifted_admission(self, example_kb):
         adv = parse_advertisement('(product = "printed material") AND (price >= 10)')
         assert sem_determines(adv, parse_event('{(product, "book"), (price, 15)}'), example_kb)
+
+    def test_child_attribute_pair_admitted_by_parent_attribute_predicate(self, example_kb):
+        adv = parse_advertisement('(book = "x")')
+        assert sem_determines(adv, parse_event('{(encyclopedia, "x")}'), example_kb)
+        adv = parse_advertisement('(encyclopedia = "x")')
+        assert not sem_determines(adv, parse_event('{(book, "x")}'), example_kb)
 
     def test_generalized_pair_not_admitted(self, example_kb):
         adv = parse_advertisement('(product = "book")')
