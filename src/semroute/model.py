@@ -26,7 +26,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -209,6 +209,23 @@ class Predicate:
     op: RelOp
     value: Value
 
+    @cached_property
+    def interval(self) -> tuple[int | None, int | None]:
+        """The closed integer interval satisfying an ordering predicate, as
+        (lo, hi) with None for the unbounded side; built on first use and
+        kept.  Only ordering operators have one; their values are integers
+        by construction."""
+        v = self.value.data
+        if self.op is RelOp.LE:
+            return (None, v)
+        if self.op is RelOp.LT:
+            return (None, v - 1)
+        if self.op is RelOp.GE:
+            return (v, None)
+        if self.op is RelOp.GT:
+            return (v + 1, None)
+        raise ValueError(f"no interval for operator {self.op.value!r}")
+
 
 @_hash_once
 @dataclass(frozen=True)
@@ -252,6 +269,11 @@ class Advertisement:
     predicates: tuple[Predicate, ...]
     id: str = field(default="", compare=False)
 
+    @cached_property
+    def by_attribute(self) -> dict[str, list[Predicate]]:
+        """The predicates keyed by attribute, built on first use and kept."""
+        return group_by_attribute((p.attribute, p) for p in self.predicates)
+
 
 Entity = Union[Event, Subscription, Advertisement]
 
@@ -263,28 +285,29 @@ _TOKEN_RE = re.compile(
   | (?P<int>-?[0-9]+)
   | (?P<quoted>"(?:[^"\\]|\\.)*")
   | (?P<bare>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
 
 
 def _tokenize(text: str) -> list[_Token]:
+    # Every position starts a match (`bad` takes any character the others
+    # refuse, `ws` the newlines), so one pass sees the text whole.
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append(_Token(kind, m.group(), m.start()))
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 

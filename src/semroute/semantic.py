@@ -1,4 +1,4 @@
-"""Semantic matching: normalization, event augmentation, lifted relations.
+"""Semantic matching: normalization, event augmentation, publish admission.
 
 Matching an event against a subscription semantically proceeds in stages:
 
@@ -14,41 +14,30 @@ The augmented event then matches the subscription at plain syntax level.
 Generalization is one-way: a subscription mentioning a specialized term is
 never satisfied by an event carrying only a more general one.
 
-`sem_covers` and `sem_intersects` lift the syntactic covering and
-intersection tests through the hierarchy.  They deliberately ignore mapping
-functions, whose outputs are not predictable relation-side; routing built on
-them can therefore under-forward mapping-dependent subscriptions (surfaced
-by the simulator as a distinct verdict).  Both relations are conservative:
-a true `sem_covers` always means event-set inclusion, and a false
-`sem_intersects` always means no event can satisfy both sides.
+`sem_covers` and `sem_intersects` ask the relation kernel,
+`syntactic.covers` and `syntactic.intersects`, about the normal forms under
+the knowledge base.  They deliberately ignore mapping functions, whose
+outputs are not predictable relation-side; routing built on them can
+therefore under-forward mapping-dependent subscriptions (surfaced by the
+simulator as a distinct verdict).  Both relations are conservative: a true
+`sem_covers` always means event-set inclusion, and a false `sem_intersects`
+always means no event can satisfy both sides.
 
-`augment` builds the augmented event's values by attribute in one pass,
-with the provenance of each added value, which `--explain` prints.  Routing
-keeps on each entity, with `model.kept`, what it derives from it under the
-last knowledge base asked: a subscription's normal form, an
-advertisement's normal form keyed by attribute, and an event's augmented
+This module builds no covering or gating summary; it normalizes, augments
+and admits.  Routing keeps on each entity, with `model.kept`, what it
+derives from it under the last knowledge base asked: a subscription's or
+an advertisement's normal form (the entity itself when already in root
+form), on which the kernel keeps its summaries, and an event's augmented
 values summarised as one `syntactic.Implied` per attribute over a `(a = v)`
-predicate per value.  A predicate holds for some value at its attribute iff
-some `(a = v)` implies it, so `sem_match` asks `all_implied`, the covering
-kernel, as `match_event` does.  `sem_match`'s memo is the only module-level
-cache.  Every hierarchy-lifted decision asks the summaries `syntactic`
-defines, built over the knowledge base's hierarchy, instead of scanning the
-side it quantifies over:
-
-- `sem_covers` keeps on the covered subscription, for the last knowledge
-  base it was asked under, an `Implied` per attribute over the predicates
-  there and at its descendants, with `=` values lifted to their ancestor
-  chains;
-- `sem_intersects` asks an advertisement's kept normal form for one `Gate`
-  per subscription attribute, built on first use over the predicates at
-  every advertised attribute comparable with it: the attribute, its
-  ancestors and its descendants;
-- `sem_determines` (publish admission) summarises each event pair's value
-  chain, the value and its ancestor terms, as one `Implied`, and asks it
-  against the advertised predicates at the pair's attribute and its
-  ancestors.
-
-Each test is then a few set lookups per predicate.
+predicate per value.  `augment` builds those values by attribute in one
+pass, with the provenance of each added value, which `--explain` prints.  A
+predicate holds for some value at its attribute iff some `(a = v)` implies
+it, so `sem_match` asks `all_implied`, the covering kernel, as
+`match_event` does.  `sem_match`'s memo is the only module-level cache.
+Publish admission (`sem_determines`) summarises each event pair's value
+chain, the value and its ancestor terms, as one `Implied`, and asks it
+against the advertised predicates at the pair's attribute and its
+ancestors.
 """
 
 from __future__ import annotations
@@ -56,7 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, TypeVar
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -66,16 +55,9 @@ from .model import (
     Predicate,
     Subscription,
     Value,
-    group_by_attribute,
     kept,
 )
-from .syntactic import (
-    Gate,
-    Implied,
-    all_implied,
-    implied_by_attribute,
-    implied_by_values,
-)
+from .syntactic import Implied, all_implied, covers, implied_by_values, intersects
 
 
 class Provenance(enum.Enum):
@@ -140,18 +122,25 @@ def normalize_event(event: Event, kb: KnowledgeBase) -> Event:
     return Event(tuple(normalize_pair(p, kb) for p in event.pairs))
 
 
+_Predicated = TypeVar("_Predicated", Subscription, Advertisement)
+
+
+def _over_root_terms(entity: _Predicated, kb: KnowledgeBase) -> _Predicated:
+    """The entity over root terms; `entity` itself when it already is."""
+    predicates = tuple(normalize_predicate(p, kb) for p in entity.predicates)
+    if predicates == entity.predicates:
+        return entity
+    return type(entity)(predicates, id=entity.id)
+
+
 def normalize_subscription(sub: Subscription, kb: KnowledgeBase) -> Subscription:
     """The subscription over root terms; `sub` itself when it already is."""
-    predicates = tuple(normalize_predicate(p, kb) for p in sub.predicates)
-    if predicates == sub.predicates:
-        return sub
-    return Subscription(predicates, id=sub.id)
+    return _over_root_terms(sub, kb)
 
 
 def normalize_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisement:
-    return Advertisement(
-        tuple(normalize_predicate(p, kb) for p in adv.predicates), id=adv.id
-    )
+    """The advertisement over root terms; `adv` itself when it already is."""
+    return _over_root_terms(adv, kb)
 
 
 def value_chain(value: Value, kb: KnowledgeBase) -> tuple[Value, ...]:
@@ -205,42 +194,12 @@ def augmented_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_values(augment(normalize_event(event, kb), kb).values)
 
 
-class _Advertised:
-    """A normalized advertisement: its predicates keyed by attribute, and the
-    gates `sem_intersects` looks subscription predicates up in."""
-
-    def __init__(self, adv: Advertisement, kb: KnowledgeBase):
-        self.kb = kb
-        preds = normalize_advertisement(adv, kb).predicates
-        self.predicates = group_by_attribute((p.attribute, p) for p in preds)
-        self._gates: dict[str, Optional[Gate]] = {}
-
-    def gate(self, attribute: str) -> Optional[Gate]:
-        """The gate over the predicates at every advertised attribute
-        comparable with `attribute` (itself, its ancestors and its
-        descendants), or None when there is none.
-
-        Built on first use and kept, so once per subscription attribute
-        asked; publish admission needs only `predicates`.
-        """
-        if attribute not in self._gates:
-            kb = self.kb
-            preds = [
-                p
-                for a, held in self.predicates.items()
-                if kb.comparable(a, attribute)
-                for p in held
-            ]
-            self._gates[attribute] = Gate(preds, kb) if preds else None
-        return self._gates[attribute]
-
-
-def _advertised(adv: Advertisement, kb: KnowledgeBase) -> _Advertised:
-    return kept(adv, "_advertised", kb, _Advertised)
-
-
 def _normalized(sub: Subscription, kb: KnowledgeBase) -> Subscription:
     return kept(sub, "_normalized", kb, normalize_subscription)
+
+
+def _normalized_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisement:
+    return kept(adv, "_normalized", kb, normalize_advertisement)
 
 
 def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
@@ -266,7 +225,7 @@ def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
     under hierarchy-lifted matching: one at the pair's attribute or an
     ancestor of it that some value on the pair's value chain satisfies."""
-    advertised = _advertised(adv, kb).predicates
+    advertised = _normalized_advertisement(adv, kb).by_attribute
     for pair in event.pairs:
         root = kb.root_term(pair.attribute)
         chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
@@ -291,33 +250,17 @@ def attribute_reach(attributes: frozenset[str], kb: KnowledgeBase) -> frozenset[
     return attributes.union(*above) if above else attributes
 
 
-def _lifted_implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
-    return implied_by_attribute(_normalized(sub, kb).predicates, kb)
-
-
 def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     """True iff every event semantically matching s2 semantically matches s1.
 
     Hierarchy-only and sound; mapping functions are not consulted, so a
     subscription satisfiable only through a mapping output may defeat the
-    inclusion this relation promises (see module docstring).
-
-    Each normalized s1 predicate must be implied by some normalized s2
-    predicate on a descendant of (or the same) attribute.  The hierarchy
-    adds one case to syntactic implication: (= v) implies (= w) when v
-    descends from w.  Against (!= w), a pair satisfying (= v) still carries
-    v itself, so the syntactic rule (v differs from w) stays exact.
-
-    s2 is summarised on first use and kept on it with the knowledge base
-    (only the last one asked under): an `Implied` at each of its attributes
-    and their ancestors, over the predicates there and at the descendants,
-    with `=` values lifted to their ancestor chains.  An s1 predicate
-    elsewhere is implied by nothing, so s1 can cover s2 only if
+    inclusion this relation promises (see module docstring).  Decided by
+    `syntactic.covers` over the normal forms, so s1 can cover s2 only if
     `subscription_attributes(s1, kb)` lies within
     `attribute_reach(subscription_attributes(s2, kb), kb)`.
     """
-    implied = kept(s2, "_sem_implied", kb, _lifted_implied)
-    return all_implied(_normalized(s1, kb).predicates, implied)
+    return covers(_normalized(s1, kb), _normalized(s2, kb), kb)
 
 
 def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> bool:
@@ -328,12 +271,8 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     the hierarchy terms and integers adjacent to the predicate constants:
     events may repeat attributes, so satisfiability decomposes into one
     witness pair per subscription predicate, each of which must also be
-    admitted by some advertisement predicate on a comparable attribute
-    (see `syntactic.Gate`).
+    admitted by some advertisement predicate on a comparable attribute.
+    Decided by `syntactic.intersects` over the normal forms (see
+    `syntactic.Gate`).
     """
-    advertised = _advertised(adv, kb)
-    for sp in _normalized(sub, kb).predicates:
-        gate = advertised.gate(sp.attribute)
-        if gate is None or not gate.meets(sp, kb):
-            return False
-    return True
+    return intersects(_normalized_advertisement(adv, kb), _normalized(sub, kb), kb)

@@ -1,12 +1,16 @@
-"""Syntax-level matching relations over events, subscriptions, advertisements.
+"""Matching relations over events, subscriptions, advertisements.
 
-All relations here compare attribute names literally.  The operator rules
-live here, in two forms.  `implies` and `jointly_satisfiable` decide one
-pair of predicates; they are the reference.  `Implied` and `Gate` answer
-the same questions against a per-attribute summary of many predicates, and
-the relations use those.  Both take a `KnowledgeBase`: the semantic layer
-builds them over its hierarchy, and the syntactic relations over one empty
-knowledge base, built at import, under which no term has a relative.
+`covers` and `intersects` are the relation kernel of both modes.  Each takes
+a `KnowledgeBase`, by default an empty one built at import, under which
+names compare literally and no term has a relative, and assumes input in
+its root form, which every entity is under the empty one; `semantic`
+normalizes first.  `match_event` and `determines` compare names literally.
+
+The operator rules live here, in two forms.  `implies` and
+`jointly_satisfiable` decide one pair of predicates; they are the
+reference.  `Implied` and `Gate` answer the same questions, lifted through
+a knowledge base's hierarchy, against a per-attribute summary of many
+predicates, and the relations use those.
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
@@ -16,13 +20,14 @@ Both are exact for predicates on integer values because ordering operators
 are restricted to integers, so satisfying sets are intervals.
 
 Each relation keeps a summary of the side it quantifies over on that
-entity (`model.kept`), built on first use, so a test makes a few lookups
-per predicate instead of a scan of the other side: `covers` keeps an
-`Implied` per attribute of the covered subscription, `intersects` a `Gate`
-per attribute of the advertisement, and `match_event` an `Implied` per
-attribute of the event over one `(a = v)` predicate per value, since a
-predicate holds for some value there iff one of those implies it.
-`match_pair` stays as the reference for matching.
+entity (`model.kept`, under the knowledge base asked), built on first use,
+so a test makes a few lookups per predicate instead of a scan of the other
+side: `covers` keeps an `Implied` per attribute of the covered subscription
+and its ancestors, `intersects` a `Gate` per subscription attribute asked
+of the advertisement, and `match_event` an `Implied` per attribute of the
+event over one `(a = v)` predicate per value, since a predicate holds for
+some value there iff one of those implies it.  `match_pair` stays as the
+reference for matching.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from .model import (
 )
 
 
-# The empty knowledge base the syntactic relations build their summaries
-# under: no synonyms, so names compare literally, and no hierarchy edges.
+# The knowledge base the relations default to: no synonyms, so names
+# compare literally, and no hierarchy edges.
 _EMPTY = KnowledgeBase()
 _NONE: frozenset = frozenset()
 
@@ -77,24 +82,6 @@ def determines(adv: Advertisement, event: Event) -> bool:
         any(match_pair(pair, pred) for pred in adv.predicates)
         for pair in event.pairs
     )
-
-
-def interval(pred: Predicate) -> tuple[Optional[int], Optional[int]]:
-    """Closed integer interval satisfying an ordering predicate.
-
-    Returns (lo, hi) with None for an unbounded side.  Only meaningful for
-    ordering operators, whose values are integers by construction.
-    """
-    v = pred.value.data
-    if pred.op is RelOp.LE:
-        return (None, v)
-    if pred.op is RelOp.LT:
-        return (None, v - 1)
-    if pred.op is RelOp.GE:
-        return (v, None)
-    if pred.op is RelOp.GT:
-        return (v + 1, None)
-    raise ValueError(f"no interval for operator {pred.op.value!r}")
 
 
 def _interval_subset(
@@ -137,7 +124,7 @@ def implies(stronger: Predicate, weaker: Predicate) -> bool:
         return weaker.op is RelOp.NE and weaker.value == stronger.value
     if not weaker.op.is_ordering:
         return False
-    return _interval_subset(interval(stronger), interval(weaker))
+    return _interval_subset(stronger.interval, weaker.interval)
 
 
 def jointly_satisfiable(p: Predicate, q: Predicate) -> bool:
@@ -158,7 +145,7 @@ def jointly_satisfiable(p: Predicate, q: Predicate) -> bool:
         return p.value.is_int and q.op.holds(p.value, q.value)
     if p.op is RelOp.NE or q.op is RelOp.NE:
         return True
-    return _intervals_overlap(interval(p), interval(q))
+    return _intervals_overlap(p.interval, q.interval)
 
 
 def _holds_other(values: frozenset[Value], v: Value) -> bool:
@@ -170,21 +157,20 @@ class Implied:
     """What a set of predicates implies, in the form covering asks about it.
 
     `implies(p)` is true iff some summarised predicate q implies p: every
-    pair matching q matches p.  The semantic layer summarises the predicates
-    on an attribute and on all its descendants, and lifts `=` values to
-    their ancestor chains, which is where the hierarchy adds implications:
-    (= v) implies (= w) when v descends from w.  With q's value v and p's
-    value w:
+    pair matching q matches p.  `covers` summarises the predicates on an
+    attribute and on all its descendants, and lifts `=` values to their
+    ancestor chains, which is where the hierarchy adds implications: (= v)
+    implies (= w) when v descends from w.  With q's value v and p's value w:
 
       - p is (= w): q is (= v) with w == v, or w a string that is an
         ancestor of v: w in `values`, or w's term in `above`, the strict
         ancestors of the string `=` values;
       - p is (!= w): q is (!= w), or (= v) with v != w: w in `excluded`, or
         `values` holds another value than w;
-      - p is a lower-bounded half-line, from w once closed as `interval`
-        closes it: q is a lower-bounded half-line from w or above, or
-        (= v) with v an integer, v >= w, so `floor`, the largest such
-        bound or value, is at least w;
+      - p is a lower-bounded half-line, from w once closed as
+        `Predicate.interval` closes it: q is a lower-bounded half-line from
+        w or above, or (= v) with v an integer, v >= w, so `floor`, the
+        largest such bound or value, is at least w;
       - p is upper-bounded up to w: `ceil`, the smallest upper bound or
         integer `=` value, is at most w.
 
@@ -208,7 +194,7 @@ class Implied:
             elif p.op is RelOp.NE:
                 excluded.add(p.value)
             else:
-                lo, hi = interval(p)
+                lo, hi = p.interval
                 if hi is None:
                     lows.append(lo)
                 else:
@@ -246,7 +232,7 @@ class Implied:
             return v in self.values or v.data in self.above
         if p.op is RelOp.NE:
             return v in self.excluded or _holds_other(self.values, v)
-        lo, hi = interval(p)
+        lo, hi = p.interval
         if hi is None:
             return self.floor is not None and lo <= self.floor
         return self.ceil is not None and self.ceil <= hi
@@ -284,16 +270,18 @@ def _implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_attribute(sub.predicates, kb)
 
 
-def covers(s1: Subscription, s2: Subscription) -> bool:
-    """True iff every event matching s2 is guaranteed to match s1.
+def covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase = _EMPTY) -> bool:
+    """True iff every event matching s2 is guaranteed to match s1, with
+    matching lifted through `kb`'s hierarchy; both must be in its root form.
 
     Decided predicate-wise: each s1 predicate must be implied by some s2
-    predicate on the same attribute.  This is sound even when an event
-    carries several pairs for one attribute, because implication is
-    quantified over single pairs.  s2's predicates are summarised per
-    attribute once (`Implied`), so each s1 predicate costs a lookup.
+    predicate on the same attribute or a descendant of it.  This is sound
+    even when an event carries several pairs for one attribute, because
+    implication is quantified over single pairs.  s2 keeps its summary
+    under `kb` (an `Implied` at each of its attributes and their
+    ancestors), so each s1 predicate costs a lookup.
     """
-    return all_implied(s1.predicates, kept(s2, "_implied", _EMPTY, _implied))
+    return all_implied(s1.predicates, kept(s2, "_implied", kb, _implied))
 
 
 class Gate:
@@ -302,7 +290,7 @@ class Gate:
 
     A subscription predicate sp meets the gate iff one event pair can
     satisfy sp and some gate predicate ap, satisfaction being
-    hierarchy-lifted.  The semantic layer builds one gate per subscription
+    hierarchy-lifted.  `intersects` builds one gate per subscription
     attribute, over the advertised predicates at every attribute comparable
     with it (itself, its ancestors and its descendants): the deeper of sp's
     and ap's attributes is the witness pair's, and in a forest no witness
@@ -330,7 +318,7 @@ class Gate:
         in `up` or one of v's ancestors is in `terms`;
       - `excluded`: the `!=` values;
       - `lo`: the smallest bound of the `>`, `>=` half-lines and `hi` the
-        largest of the `<`, `<=` ones, closed as `interval` gives them;
+        largest of the `<`, `<=` ones, as `Predicate.interval` closes them;
       - `bottom`: the least integer a `>`, `>=` or integer `=` predicate
         admits, and `top` the greatest a `<`, `<=` or integer `=` one
         admits.  A half-line sp meets every half-line facing its own way;
@@ -351,7 +339,7 @@ class Gate:
             elif p.op is RelOp.NE:
                 self.excluded.add(p.value)
             else:
-                lo, hi = interval(p)
+                lo, hi = p.interval
                 if hi is None:
                     lows.append(lo)
                 else:
@@ -389,30 +377,55 @@ class Gate:
             )
         if self.excluded:
             return True
-        lo, hi = interval(sp)
+        lo, hi = sp.interval
         if hi is None:
             return self.lo is not None or (self.top is not None and lo <= self.top)
         return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
 
 
-def _gates(adv: Advertisement, kb: KnowledgeBase) -> dict[str, Gate]:
-    grouped = group_by_attribute((p.attribute, p) for p in adv.predicates)
-    return {a: Gate(preds, kb) for a, preds in grouped.items()}
+class _Gates(dict):
+    """An advertisement's gates under one knowledge base: at each
+    subscription attribute asked, the `Gate` over the predicates at every
+    advertised attribute comparable with it, or None when there are none.
+    Built on the first ask; it holds the grouped predicates, not the
+    advertisement, so keeping it there makes no reference cycle."""
+
+    __slots__ = ("predicates", "kb")
+
+    def __init__(self, adv: Advertisement, kb: KnowledgeBase):
+        super().__init__()
+        self.predicates = adv.by_attribute
+        self.kb = kb
+
+    def __missing__(self, attribute: str) -> Optional[Gate]:
+        kb = self.kb
+        preds = [
+            p
+            for a, held in self.predicates.items()
+            if kb.comparable(a, attribute)
+            for p in held
+        ]
+        gate = self[attribute] = Gate(preds, kb) if preds else None
+        return gate
 
 
-def intersects(adv: Advertisement, sub: Subscription) -> bool:
-    """True iff some event could be determined by adv and match sub.
+def intersects(
+    adv: Advertisement, sub: Subscription, kb: KnowledgeBase = _EMPTY
+) -> bool:
+    """True iff some event could be determined by adv and match sub, with
+    matching lifted through `kb`'s hierarchy; both must be in its root form.
 
-    Each subscription predicate needs an advertisement predicate on the
-    same attribute that it is jointly satisfiable with.  The false verdict
-    is exact: any event pair matching a subscription predicate while the
-    event is determined by adv must match some same-attribute adv predicate,
-    witnessing joint satisfiability.  adv's predicates are summarised per
-    attribute once (`Gate`), so each subscription predicate costs a lookup.
+    Each subscription predicate needs an advertisement predicate on a
+    comparable attribute that one event pair can satisfy together with it;
+    under the empty knowledge base, a same-attribute predicate it is jointly
+    satisfiable with.  The false verdict is exact: any event pair matching a
+    subscription predicate while the event is determined by adv must match
+    some such adv predicate.  adv keeps its gates under `kb` (`_Gates`), so
+    each subscription predicate costs a lookup.
     """
-    gates = kept(adv, "_gates", _EMPTY, _gates)
+    gates = kept(adv, "_gates", kb, _Gates)
     for sp in sub.predicates:
-        gate = gates.get(sp.attribute)
-        if gate is None or not gate.meets(sp, _EMPTY):
+        gate = gates[sp.attribute]
+        if gate is None or not gate.meets(sp, kb):
             return False
     return True

@@ -88,10 +88,34 @@ class TestParseEvent:
         assert event.pairs[0].value == Value.boolean(True)
         assert event.pairs[1].value == Value.boolean(False)
 
-    def test_error_position_reported(self):
+    @pytest.mark.parametrize(
+        "parse, text, message, position",
+        [
+            (parse_event, "{(a, @)}", "unexpected character '@'", 5),
+            (parse_event, '{(a, "x)}', "unexpected character '\"'", 5),
+            (parse_event, "{(a, -)}", "unexpected character '-'", 5),
+            (parse_subscription, "(a = 1) AND (b < -)", "unexpected character '-'", 17),
+            (parse_event, "{(a 1)}", "expected ','", 4),
+            (parse_event, "{(a, 1) (b, 2)}", "expected '}'", 8),
+            (parse_event, "{(a, 1)} extra", "unexpected trailing input 'extra'", 9),
+            (parse_subscription, "(a = 1) (b = 2)", "unexpected trailing input '('", 8),
+        ],
+        ids=[
+            "stray-at",
+            "unterminated-quote",
+            "lone-minus",
+            "lone-minus-late",
+            "missing-comma",
+            "missing-comma-between-pairs",
+            "trailing-word",
+            "trailing-predicate",
+        ],
+    )
+    def test_error_position_reported(self, parse, text, message, position):
         with pytest.raises(ParseError) as info:
-            parse_event("{(a, 1) (b, 2)}")
-        assert info.value.position == 8
+            parse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
 
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):

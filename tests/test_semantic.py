@@ -1,6 +1,7 @@
 import random
 
 import semroute.semantic as semantic
+import semroute.syntactic as syntactic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -534,6 +535,31 @@ class TestKeptForms:
             assert sem_covers(sub, s1, kb) == sem_covers(fresh_sub, fresh_s1, kb)
             assert sem_intersects(adv, sub, kb) == sem_intersects(fresh_adv, fresh_sub, kb)
             assert sem_determines(adv, event, kb) == sem_determines(fresh_adv, fresh_event, kb)
+
+    def test_root_form_entities_keep_the_kernels_summaries_per_knowledge_base(self):
+        # Under a hierarchy-only knowledge base these entities are their own
+        # normal forms, so the relations of both modes keep their summaries
+        # on the same objects, each under its own knowledge base in turn.
+        kb = KnowledgeBase(hierarchy=[("book", "item")])
+        stored = parse_subscription("(item >= 5)")
+        later = parse_subscription("(book >= 7)")
+        adv = parse_advertisement("(item >= 0)")
+        assert normalize_subscription(stored, kb) is stored
+        assert normalize_subscription(later, kb) is later
+        assert normalize_advertisement(adv, kb) is adv
+        for lifted in (True, False, True, False):
+            if lifted:
+                assert sem_covers(stored, later, kb)
+                assert not sem_covers(later, stored, kb)
+                assert sem_intersects(adv, later, kb)
+            else:
+                assert not covers(stored, later)
+                assert not covers(later, stored)
+                assert not intersects(adv, later)
+            key = kb if lifted else syntactic._EMPTY
+            assert later._implied[0] is key
+            assert stored._implied[0] is key
+            assert adv._gates[0] is key
 
 
 def test_no_module_level_cache_but_sem_match():
