@@ -277,9 +277,11 @@ def covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase = _EMPTY) -> bo
     Decided predicate-wise: each s1 predicate must be implied by some s2
     predicate on the same attribute or a descendant of it.  This is sound
     even when an event carries several pairs for one attribute, because
-    implication is quantified over single pairs.  s2 keeps its summary
-    under `kb` (an `Implied` at each of its attributes and their
-    ancestors), so each s1 predicate costs a lookup.
+    implication is quantified over single pairs.  The hierarchy adds one
+    case: (= v) implies (= w) when v descends from w; against (!= w) a pair
+    satisfying (= v) still carries v itself, so that rule is unchanged.  s2
+    keeps its summary under `kb` (an `Implied` at each of its attributes
+    and their ancestors), so each s1 predicate costs a lookup.
     """
     return all_implied(s1.predicates, kept(s2, "_implied", kb, _implied))
 
