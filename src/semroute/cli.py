@@ -20,6 +20,7 @@ from .knowledge import (
     load_knowledge,
 )
 from .model import (
+    Pair,
     ParseError,
     parse_advertisement,
     parse_event,
@@ -44,7 +45,6 @@ from .sim import (
     run,
     verify,
 )
-from .syntactic import match_pair
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -134,11 +134,15 @@ def _explain_match(event, sub, kb, semantic: bool) -> None:
             print("  (none)")
         for ap in augmented.added:
             print(f"  {render_pair(ap.pair)}  [{ap.provenance.value}]")
-    pairs = augmented.all_pairs()
     print("predicates:")
     for pred in n_sub.predicates:
-        witness = next((p for p in pairs if match_pair(p, pred)), None)
-        shown = render_pair(witness) if witness else "no matching pair"
+        # The first value at the attribute that satisfies pred: the base
+        # event's come before the added ones (`AugmentedEvent.values`).
+        held = augmented.values.get(pred.attribute, ())
+        witness = next((v for v in held if pred.op.holds(v, pred.value)), None)
+        shown = "no matching pair"
+        if witness is not None:
+            shown = render_pair(Pair(pred.attribute, witness))
         text = render(type(sub)((pred,)))
         print(f"  {text}  <-  {shown}")
 

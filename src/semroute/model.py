@@ -26,7 +26,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -237,9 +237,6 @@ class Event:
     """
 
     pairs: tuple[Pair, ...]
-
-    def __iter__(self) -> Iterator[Pair]:
-        return iter(self.pairs)
 
     @cached_property
     def by_attribute(self) -> dict[str, list[Value]]:

@@ -25,19 +25,20 @@ always means no event can satisfy both sides.
 
 This module builds no covering or gating summary; it normalizes, augments
 and admits.  Routing keeps on each entity, with `model.kept`, what it
-derives from it under the last knowledge base asked: a subscription's or
-an advertisement's normal form (the entity itself when already in root
-form), on which the kernel keeps its summaries, and an event's augmented
-values summarised as one `syntactic.Implied` per attribute over a `(a = v)`
-predicate per value.  `augment` builds those values by attribute in one
-pass, with the provenance of each added value, which `--explain` prints.  A
-predicate holds for some value at its attribute iff some `(a = v)` implies
-it, so `sem_match` asks `all_implied`, the covering kernel, as
-`match_event` does.  `sem_match`'s memo is the only module-level cache.
-Publish admission (`sem_determines`) summarises each event pair's value
-chain, the value and its ancestor terms, as one `Implied`, and asks it
-against the advertised predicates at the pair's attribute and its
-ancestors.
+derives from it under the last knowledge base asked: a subscription's or an
+advertisement's normal form (None when that is the entity itself, so no
+entity holds itself), on which the kernel keeps its summaries, and an
+event's augmented values summarised as one `syntactic.Implied` per
+attribute over a `(a = v)` predicate per value.  `augment` builds those
+values by attribute in one pass, with the provenance of each added value;
+`--explain` prints the added values and takes each predicate's witness from
+the values at its attribute.  A predicate holds for some value at its
+attribute iff some `(a = v)` implies it, so `sem_match` asks `all_implied`,
+the covering kernel, as `match_event` does.  `sem_match`'s memo is the only
+module-level cache.  Publish admission (`sem_determines`) summarises each
+event pair's value chain, the value and its ancestor terms, as one
+`Implied`, and asks it against the advertised predicates at the pair's
+attribute and its ancestors.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ class AugmentedEvent:
             for attribute in self.order
             for value, provenance in (next(later[attribute]),)
         )
-
-    def all_pairs(self) -> tuple[Pair, ...]:
-        return self.base.pairs + tuple(ap.pair for ap in self.added)
 
 
 def normalize_value(value: Value, kb: KnowledgeBase) -> Value:
@@ -194,12 +192,22 @@ def augmented_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_values(augment(normalize_event(event, kb), kb).values)
 
 
-def _normalized(sub: Subscription, kb: KnowledgeBase) -> Subscription:
-    return kept(sub, "_normalized", kb, normalize_subscription)
+def _other_normal_form(
+    entity: _Predicated, kb: KnowledgeBase
+) -> Optional[_Predicated]:
+    """The entity's normal form, or None when that is the entity itself,
+    which kept on the entity would be a reference cycle."""
+    if isinstance(entity, Advertisement):
+        normal = normalize_advertisement(entity, kb)
+    else:
+        normal = normalize_subscription(entity, kb)
+    return None if normal is entity else normal
 
 
-def _normalized_advertisement(adv: Advertisement, kb: KnowledgeBase) -> Advertisement:
-    return kept(adv, "_normalized", kb, normalize_advertisement)
+def _normalized(entity: _Predicated, kb: KnowledgeBase) -> _Predicated:
+    """The subscription's or advertisement's normal form, kept on it."""
+    normal = kept(entity, "_normalized", kb, _other_normal_form)
+    return entity if normal is None else normal
 
 
 def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
@@ -225,12 +233,12 @@ def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
     under hierarchy-lifted matching: one at the pair's attribute or an
     ancestor of it that some value on the pair's value chain satisfies."""
-    advertised = _normalized_advertisement(adv, kb).by_attribute
+    advertised = _normalized(adv, kb).by_attribute
     for pair in event.pairs:
         root = kb.root_term(pair.attribute)
         chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
         if not any(
-            chain.implies(pred)
+            chain.entails(pred)
             for attribute in (root, *kb.ancestors(root))
             for pred in advertised.get(attribute, ())
         ):
@@ -275,4 +283,4 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     Decided by `syntactic.intersects` over the normal forms (see
     `syntactic.Gate`).
     """
-    return intersects(_normalized_advertisement(adv, kb), _normalized(sub, kb), kb)
+    return intersects(_normalized(adv, kb), _normalized(sub, kb), kb)

@@ -4,20 +4,21 @@
 a `KnowledgeBase`, by default an empty one built at import, under which
 names compare literally and no term has a relative, and assumes input in
 its root form, which every entity is under the empty one; `semantic`
-normalizes first.  `match_event` and `determines` compare names literally.
+normalizes first.  `match_event` compares names literally.
 
-The operator rules live here, in two forms.  `implies` and
-`jointly_satisfiable` decide one pair of predicates; they are the
-reference.  `Implied` and `Gate` answer the same questions, lifted through
-a knowledge base's hierarchy, against a per-attribute summary of many
-predicates, and the relations use those.
+The operator rules live here once, lifted through a knowledge base's
+hierarchy: `Implied` says which predicates a set of predicates implies, and
+`Gate` which it admits, each against a per-attribute summary of many
+predicates.
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
 - Two predicates are jointly satisfiable when a single pair can match both.
 
 Both are exact for predicates on integer values because ordering operators
-are restricted to integers, so satisfying sets are intervals.
+are restricted to integers, so satisfying sets are intervals.  The tests
+check the summaries against per-pair references and enumeration oracles
+(`tests/bruteforce.py`).
 
 Each relation keeps a summary of the side it quantifies over on that
 entity (`model.kept`, under the knowledge base asked), built on first use,
@@ -26,8 +27,7 @@ side: `covers` keeps an `Implied` per attribute of the covered subscription
 and its ancestors, `intersects` a `Gate` per subscription attribute asked
 of the advertisement, and `match_event` an `Implied` per attribute of the
 event over one `(a = v)` predicate per value, since a predicate holds for
-some value there iff one of those implies it.  `match_pair` stays as the
-reference for matching.
+some value there iff one of those implies it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .knowledge import KnowledgeBase
 from .model import (
     Advertisement,
     Event,
-    Pair,
     Predicate,
     RelOp,
     Subscription,
@@ -55,14 +54,6 @@ _EMPTY = KnowledgeBase()
 _NONE: frozenset = frozenset()
 
 
-def match_pair(pair: Pair, pred: Predicate) -> bool:
-    """True iff the attribute names are equal and `pair.value op pred.value`.
-
-    A kind mismatch under an ordering operator is a non-match, not an error.
-    """
-    return pair.attribute == pred.attribute and pred.op.holds(pair.value, pred.value)
-
-
 def _event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_values(event.by_attribute)
 
@@ -76,78 +67,6 @@ def match_event(event: Event, sub: Subscription) -> bool:
     return all_implied(sub.predicates, kept(event, "_implied", _EMPTY, _event_implied))
 
 
-def determines(adv: Advertisement, event: Event) -> bool:
-    """True iff every pair of the event matches at least one adv predicate."""
-    return all(
-        any(match_pair(pair, pred) for pred in adv.predicates)
-        for pair in event.pairs
-    )
-
-
-def _interval_subset(
-    inner: tuple[Optional[int], Optional[int]],
-    outer: tuple[Optional[int], Optional[int]],
-) -> bool:
-    lo_i, hi_i = inner
-    lo_o, hi_o = outer
-    if lo_o is not None and (lo_i is None or lo_i < lo_o):
-        return False
-    if hi_o is not None and (hi_i is None or hi_i > hi_o):
-        return False
-    return True
-
-
-def _intervals_overlap(
-    a: tuple[Optional[int], Optional[int]],
-    b: tuple[Optional[int], Optional[int]],
-) -> bool:
-    lo = max((x for x in (a[0], b[0]) if x is not None), default=None)
-    hi = min((x for x in (a[1], b[1]) if x is not None), default=None)
-    return lo is None or hi is None or lo <= hi
-
-
-def implies(stronger: Predicate, weaker: Predicate) -> bool:
-    """True iff every pair matching `stronger` also matches `weaker`.
-
-    Assumes both predicates name the same attribute; callers pair them up.
-    Rules:
-      - (= v) implies (op w) exactly when `v op w` holds.
-      - (!= v) is implied only by (!= v) itself or by (= w) with w != v.
-      - ordering predicates imply by interval inclusion, with strict bounds
-        normalized to closed ones over the integers.
-    Ordering predicates never imply = or != (their satisfying sets are
-    infinite half-lines).
-    """
-    if stronger.op is RelOp.EQ:
-        return weaker.op.holds(stronger.value, weaker.value)
-    if stronger.op is RelOp.NE:
-        return weaker.op is RelOp.NE and weaker.value == stronger.value
-    if not weaker.op.is_ordering:
-        return False
-    return _interval_subset(stronger.interval, weaker.interval)
-
-
-def jointly_satisfiable(p: Predicate, q: Predicate) -> bool:
-    """True iff some single value satisfies both predicates.
-
-    Attribute names are not consulted; callers pair same-attribute
-    predicates.  Exact for =, and for ordering operators via interval
-    overlap; != against != or an ordering operator is always satisfiable
-    because the excluded set is finite while the allowed set is not.
-    """
-    if q.op is RelOp.EQ and p.op is not RelOp.EQ:
-        p, q = q, p
-    if p.op is RelOp.EQ:
-        if q.op is RelOp.EQ:
-            return p.value == q.value
-        if q.op is RelOp.NE:
-            return p.value != q.value
-        return p.value.is_int and q.op.holds(p.value, q.value)
-    if p.op is RelOp.NE or q.op is RelOp.NE:
-        return True
-    return _intervals_overlap(p.interval, q.interval)
-
-
 def _holds_other(values: frozenset[Value], v: Value) -> bool:
     """True iff `values` holds a value other than v."""
     return len(values) > 1 or (bool(values) and v not in values)
@@ -156,7 +75,7 @@ def _holds_other(values: frozenset[Value], v: Value) -> bool:
 class Implied:
     """What a set of predicates implies, in the form covering asks about it.
 
-    `implies(p)` is true iff some summarised predicate q implies p: every
+    `entails(p)` is true iff some summarised predicate q implies p: every
     pair matching q matches p.  `covers` summarises the predicates on an
     attribute and on all its descendants, and lifts `=` values to their
     ancestor chains, which is where the hierarchy adds implications: (= v)
@@ -209,7 +128,7 @@ class Implied:
     @classmethod
     def of_values(cls, values: Iterable[Value]) -> "Implied":
         """The summary of one `(a = v)` predicate per value v, with no value
-        lifted: some value satisfies p iff this implies p.  The values are
+        lifted: some value satisfies p iff this entails p.  The values are
         an event's at one attribute (plain, or augmented, which already
         holds the lifted values), or one pair's value chain for publish
         admission (`semantic.sem_determines`)."""
@@ -225,7 +144,7 @@ class Implied:
             summary.floor = summary.ceil = None
         return summary
 
-    def implies(self, p: Predicate) -> bool:
+    def entails(self, p: Predicate) -> bool:
         v = p.value
         if p.op is RelOp.EQ:
             # `above` holds only terms, so only a string's data can be in it.
@@ -258,10 +177,10 @@ def implied_by_values(values: Mapping[str, Iterable[Value]]) -> dict[str, Implie
 
 
 def all_implied(preds: Iterable[Predicate], implied: dict[str, Implied]) -> bool:
-    """True iff the summary at each predicate's attribute implies it."""
+    """True iff the summary at each predicate's attribute entails it."""
     for p in preds:
         summary = implied.get(p.attribute)
-        if summary is None or not summary.implies(p):
+        if summary is None or not summary.entails(p):
             return False
     return True
 
@@ -311,7 +230,8 @@ class Gate:
     A "relative" is a strict ancestor (the witness is v itself, which also
     carries a differing generalization) or a strict descendant (the
     witness, whose chain holds v while it differs from v).  Under the empty
-    knowledge base the table is `jointly_satisfiable`'s.  Each entry asks
+    knowledge base a relative never exists, and the table is the plain
+    joint satisfiability of sp and ap on one attribute.  Each entry asks
     whether some ap exists, so gates over merged predicate sets stay exact.
     The summary answers each in a few lookups:
 

@@ -1,10 +1,11 @@
-"""Enumeration-based reference oracles for the relation tests.
+"""Reference deciders for the relation tests.
 
 Everything here decides relations from first principles: hierarchy closures
 are expanded explicitly via `KnowledgeBase.ancestors`, matching uses only
-`RelOp.holds`, and satisfiability questions are answered by enumerating a
-finite pair universe.  None of the analytic implication or satisfiability
-rules under test are consulted.
+`RelOp.holds` (`match_pair`), and satisfiability questions are answered by
+enumerating a finite pair universe.  The enumeration oracles consult none
+of the analytic implication or satisfiability rules, neither the library's
+summaries nor the per-pair references in the last section.
 
 Events may repeat attribute names (augmentation produces such events, and
 nothing in matching forbids them), which makes event-level questions
@@ -19,6 +20,12 @@ decompose pair-wise:
 
 `exhaustive_*` variants enumerate whole events instead; they are slower and
 exist to validate the decomposition on small universes.
+
+The last section holds the analytic per-pair references: `implies` and
+`jointly_satisfiable` decide one pair of predicates, and `determines` one
+event against an advertisement, by rule rather than by enumeration.  The
+library's `Implied` and `Gate` answer the same questions against a summary
+of many predicates, and the property tests compare the two.
 """
 
 from __future__ import annotations
@@ -66,12 +73,16 @@ def closure(kb: KnowledgeBase, pair: Pair) -> tuple[Pair, ...]:
     )
 
 
-def plain_match(pair: Pair, pred: Predicate) -> bool:
+def match_pair(pair: Pair, pred: Predicate) -> bool:
+    """True iff the attribute names are equal and `pair.value op pred.value`.
+
+    A kind mismatch under an ordering operator is a non-match, not an error.
+    """
     return pair.attribute == pred.attribute and pred.op.holds(pair.value, pred.value)
 
 
 def closure_match(kb: KnowledgeBase, pair: Pair, pred: Predicate) -> bool:
-    return any(plain_match(c, pred) for c in closure(kb, pair))
+    return any(match_pair(c, pred) for c in closure(kb, pair))
 
 
 def sem_match_oracle(kb: KnowledgeBase, event: Event, sub: Subscription) -> bool:
@@ -140,14 +151,14 @@ def universe(kb: KnowledgeBase, *entities) -> list[Pair]:
 
 def _matcher(kb: Optional[KnowledgeBase]):
     if kb is None:
-        return plain_match
+        return match_pair
     closures: dict[Pair, tuple[Pair, ...]] = {}
 
     def match(pair: Pair, pred: Predicate) -> bool:
         # `closure_match`, with each pair's closure expanded once per search.
         if pair not in closures:
             closures[pair] = closure(kb, pair)
-        return any(plain_match(c, pred) for c in closures[pair])
+        return any(match_pair(c, pred) for c in closures[pair])
 
     return match
 
@@ -261,3 +272,78 @@ def exhaustive_covering_holds(
             if acc2 == full2 and acc1 != full1:
                 return False
     return True
+
+
+# Analytic per-pair references.  No oracle above calls these.
+
+
+def determines(adv: Advertisement, event: Event) -> bool:
+    """True iff every pair of the event matches at least one adv predicate."""
+    return all(
+        any(match_pair(pair, pred) for pred in adv.predicates)
+        for pair in event.pairs
+    )
+
+
+def _interval_subset(
+    inner: tuple[Optional[int], Optional[int]],
+    outer: tuple[Optional[int], Optional[int]],
+) -> bool:
+    lo_i, hi_i = inner
+    lo_o, hi_o = outer
+    if lo_o is not None and (lo_i is None or lo_i < lo_o):
+        return False
+    if hi_o is not None and (hi_i is None or hi_i > hi_o):
+        return False
+    return True
+
+
+def _intervals_overlap(
+    a: tuple[Optional[int], Optional[int]],
+    b: tuple[Optional[int], Optional[int]],
+) -> bool:
+    lo = max((x for x in (a[0], b[0]) if x is not None), default=None)
+    hi = min((x for x in (a[1], b[1]) if x is not None), default=None)
+    return lo is None or hi is None or lo <= hi
+
+
+def implies(stronger: Predicate, weaker: Predicate) -> bool:
+    """True iff every pair matching `stronger` also matches `weaker`.
+
+    Assumes both predicates name the same attribute; callers pair them up.
+    Rules:
+      - (= v) implies (op w) exactly when `v op w` holds.
+      - (!= v) is implied only by (!= v) itself or by (= w) with w != v.
+      - ordering predicates imply by interval inclusion, with strict bounds
+        normalized to closed ones over the integers.
+    Ordering predicates never imply = or != (their satisfying sets are
+    infinite half-lines).
+    """
+    if stronger.op is RelOp.EQ:
+        return weaker.op.holds(stronger.value, weaker.value)
+    if stronger.op is RelOp.NE:
+        return weaker.op is RelOp.NE and weaker.value == stronger.value
+    if not weaker.op.is_ordering:
+        return False
+    return _interval_subset(stronger.interval, weaker.interval)
+
+
+def jointly_satisfiable(p: Predicate, q: Predicate) -> bool:
+    """True iff some single value satisfies both predicates.
+
+    Attribute names are not consulted; callers pair same-attribute
+    predicates.  Exact for =, and for ordering operators via interval
+    overlap; != against != or an ordering operator is always satisfiable
+    because the excluded set is finite while the allowed set is not.
+    """
+    if q.op is RelOp.EQ and p.op is not RelOp.EQ:
+        p, q = q, p
+    if p.op is RelOp.EQ:
+        if q.op is RelOp.EQ:
+            return p.value == q.value
+        if q.op is RelOp.NE:
+            return p.value != q.value
+        return p.value.is_int and q.op.holds(p.value, q.value)
+    if p.op is RelOp.NE or q.op is RelOp.NE:
+        return True
+    return _intervals_overlap(p.interval, q.interval)

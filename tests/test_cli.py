@@ -81,6 +81,83 @@ class TestMatchCommand:
         assert code == 1
         assert "(price >= 10)  <-  no matching pair" in out
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                (ENCYCLOPEDIA_EVENT, BOOK_SUB, "--mode", "semantic", "--knowledge", KB),
+                (0, """\
+normalized event: {(encyclopedia, "stone age"), (subject, "crocodiles")}
+normalized subscription: (book = "stone age") AND (subject = "reptiles")
+added pairs:
+  (book, "stone age")  [hierarchy]
+  ("printed material", "stone age")  [hierarchy]
+  (subject, "reptiles")  [hierarchy]
+predicates:
+  (book = "stone age")  <-  (book, "stone age")
+  (subject = "reptiles")  <-  (subject, "reptiles")
+match
+"""),
+            ),
+            (
+                (
+                    '{(school, "y"), (degree, "phd"), ("work experience", true), '
+                    '("graduation date", 1990)}',
+                    '(university = "y") AND ("professional experience" > 10) '
+                    'AND ("work experience" = true)',
+                    "--mode", "semantic", "--knowledge", KB,
+                ),
+                (0, """\
+normalized event: {(university, "y"), (degree, "phd"), ("work experience", true), ("graduation date", 1990)}
+normalized subscription: (university = "y") AND ("professional experience" > 10) AND ("work experience" = true)
+added pairs:
+  ("professional experience", 13)  [mapping]
+predicates:
+  (university = "y")  <-  (university, "y")
+  ("professional experience" > 10)  <-  ("professional experience", 13)
+  ("work experience" = true)  <-  ("work experience", true)
+match
+"""),
+            ),
+            (
+                # Several values could witness each predicate: the first
+                # shown is the base value, then the added ones in order.
+                (
+                    '{(encyclopedia, "Stone Age"), (book, "crocodiles")}',
+                    '(book != "zzz") AND ("printed material" != "crocodiles")',
+                    "--mode", "semantic", "--knowledge", KB,
+                ),
+                (0, """\
+normalized event: {(encyclopedia, "stone age"), (book, "crocodiles")}
+normalized subscription: (book != "zzz") AND ("printed material" != "crocodiles")
+added pairs:
+  (book, "stone age")  [hierarchy]
+  ("printed material", "stone age")  [hierarchy]
+  (book, "reptiles")  [hierarchy]
+  ("printed material", "crocodiles")  [hierarchy]
+  ("printed material", "reptiles")  [hierarchy]
+predicates:
+  (book != "zzz")  <-  (book, "crocodiles")
+  ("printed material" != "crocodiles")  <-  ("printed material", "stone age")
+match
+"""),
+            ),
+            (
+                (ENCYCLOPEDIA_EVENT, BOOK_SUB),
+                (1, """\
+predicates:
+  (book = "stone age")  <-  no matching pair
+  (subject = "reptiles")  <-  no matching pair
+no-match
+"""),
+            ),
+        ],
+        ids=["hierarchy", "mapping-output", "first-of-several", "syntactic-no-pair"],
+    )
+    def test_explain_output_is_pinned(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "match", *argv, "--explain")
+        assert (code, out) == expected
+
     def test_mapping_body_without_input_exits_two(self, capsys, tmp_path):
         kb = tmp_path / "kb.json"
         kb.write_text(json.dumps({"mappings": [

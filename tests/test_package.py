@@ -27,3 +27,24 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+def test_the_reference_shares_no_code_with_what_it_referees():
+    # `tests/bruteforce.py` decides the relations the kernel decides; it may
+    # use the model and the knowledge base, but none of the relations.
+    path = Path(__file__).with_name("bruteforce.py")
+    refereed = {
+        "semroute.syntactic",
+        "semroute.semantic",
+        "semroute.routing",
+        "semroute.sim",
+    }
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "semroute.model" in imported
+    assert not imported & refereed

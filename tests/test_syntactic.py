@@ -13,20 +13,16 @@ from semroute.model import (
     parse_event,
     parse_subscription,
 )
-from semroute.syntactic import (
-    covers,
-    determines,
-    implies,
-    intersects,
-    jointly_satisfiable,
-    match_event,
-    match_pair,
-)
+from semroute.syntactic import covers, intersects, match_event
 
 from .bruteforce import (
     covering_counterexample,
+    determines,
     exhaustive_covering_holds,
     exhaustive_witness,
+    implies,
+    jointly_satisfiable,
+    match_pair,
     universe,
     witness_exists,
 )
