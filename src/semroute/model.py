@@ -63,9 +63,11 @@ _K = TypeVar("_K")
 def _hash_once(cls: type[_T]) -> type[_T]:
     """Keep the dataclass-generated hash after its first computation.
 
-    Entities are immutable and serve as keys of sets, dicts and
-    `semantic.sem_match`'s memo again and again; the generated hash
-    rehashes every nested entity on each call.  The kept
+    Entities are immutable and serve as keys of sets and dicts again and
+    again: routing looks `Value`s up in the kept summaries at every hop, and
+    the CLI and the tests key `semantic.sem_match`'s memo, which routing no
+    longer fills, on events and subscriptions.  The generated hash rehashes
+    every nested entity on each call.  The kept
     value is the generated one, over compared fields only (so never `id`),
     computed on first use rather than at construction, because most parsed
     entities are never hashed.  The pickled state is exactly the dataclass
@@ -242,11 +244,6 @@ class Event:
     def by_attribute(self) -> dict[str, list[Value]]:
         """The event's values keyed by attribute, built on first use and kept."""
         return group_by_attribute((p.attribute, p.value) for p in self.pairs)
-
-    @cached_property
-    def attributes(self) -> frozenset[str]:
-        """The keys of `by_attribute`, built on first use and kept."""
-        return frozenset(self.by_attribute)
 
 
 @_hash_once

@@ -10,39 +10,53 @@ travel the reverse subscription paths and reach clients as NOTIFY messages.
 Each broker keeps one table of advertisements and one of subscriptions,
 both keyed by (id, arrival link), so a repeated arrival is found by one
 lookup and ignored.  Brokers update their tables in place; each handler
-returns the broker it was given with the outgoing messages.  The
-subscriptions are also grouped by attribute set (root forms), and both
-walks over them visit only the groups that could pass the test at hand.  A
-subscribe tests for covering only the groups whose attributes it can reach:
-a stored subscription naming an attribute that is neither one of the new
-subscription's nor an ancestor of one cannot cover it.  A publish tests
-only the groups whose attributes the event carries: a subscription naming
-an attribute at which the (augmented) event has no value cannot match it.
-A subscription keeps its attribute set and reach (`model.kept`, under the
-knowledge base), so the brokers on its path compute them once.  Outgoing
+returns the broker it was given with the outgoing messages.
+
+The subscriptions are also grouped by attribute set (root forms), and each
+group is filed under one of its attributes, the deepest in the hierarchy.
+Both walks over the table read this one grouping and visit only the groups
+filed under an attribute that could pass the test at hand.  A subscribe
+tests for covering only the groups within its reach: a stored subscription
+naming an attribute that is neither one of the new subscription's nor an
+ancestor of one cannot cover it.  A publish tests only the groups whose
+attributes the event carries: a subscription naming an attribute at which
+the (augmented) event has no value cannot match it.  A subscription keeps
+its attribute sets (`model.kept`, under the knowledge base), so the brokers
+on its path compute them once, and each table entry carries the predicates
+of its normal form.  A publish fetches the event's summary
+(`semantic.event_implied`, kept on the event) once per handling and asks
+each candidate entry's predicates of it with `all_implied`, so routing
+calls neither `sem_match` nor `match_event`; they stay imported only
+because the benchmark's tracer patches them here by name.  Outgoing
 messages follow the order of the broker's clients and neighbors, not the
-walk, so a run replays deterministically.  An empty knowledge base
-(no synonyms, hierarchy or mappings) selects the syntactic relations, which
-equal the semantic ones over it; any other selects the semantic ones.
+walk, so a run replays deterministically.  An empty knowledge base (no
+synonyms, hierarchy or mappings) selects the syntactic relations for
+covering and gating, which equal the semantic ones over it, and takes the
+subscription and the event as their own normal forms; any other selects
+the semantic ones.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from .knowledge import KnowledgeBase
-from .model import Advertisement, Event, Subscription, kept
+from .model import Advertisement, Event, Predicate, Subscription, kept
 from .semantic import (
     attribute_reach,
-    carried_attributes,
+    event_implied,
+    normalized,
     sem_covers,
     sem_intersects,
-    sem_match,
     subscription_attributes,
 )
-from .syntactic import covers, intersects, match_event
+from .syntactic import all_implied, covers, intersects
+# Nothing here calls `sem_match` or `match_event`; `bench/tracing.py`
+# patches them by name.
+from .semantic import sem_match  # noqa: F401
+from .syntactic import match_event  # noqa: F401
 
 
 class RoutingError(ValueError):
@@ -78,6 +92,14 @@ class SubscriptionEntry:
     # The link the subscription arrived on.
     origin: str
     forwarded_to: frozenset[str]
+    # The predicates of the subscription's normal form under the broker's
+    # knowledge base, which a publication is tested against.
+    predicates: tuple[Predicate, ...]
+
+
+# A table's subscription groups: each attribute set's entries, in arrival
+# order, filed under one attribute of the set (None for the empty set).
+Filed = dict[Optional[str], dict[frozenset[str], list[SubscriptionEntry]]]
 
 
 @dataclass
@@ -88,21 +110,36 @@ class BrokerState:
     # The relations' knowledge base; an empty one selects the syntactic ones.
     kb: KnowledgeBase
     subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
-    # The same entries grouped by `subscription_attributes`, in arrival order
-    # within each group; the covering and publish walks read these.
-    by_attributes: dict[frozenset[str], list[SubscriptionEntry]] = field(
-        default_factory=dict
-    )
+    # The same entries grouped by `subscription_attributes`, each group filed
+    # under the attribute `_attribute_sets` picks; the covering and publish
+    # walks read these.
+    filed: Filed = field(default_factory=dict)
     advertisements: dict[Key, Advertisement] = field(default_factory=dict)
     suppressed: int = 0
     gated: int = 0
+    # Subscriptions a publication was tested against, and the links they
+    # matched, over every publish handled.
+    publish_tests: int = 0
+    matched_links: int = 0
     # Optimization switches; disabling either must never change deliveries,
     # only traffic. Kept on the state so a whole run is self-describing.
     covering_suppression: bool = True
     advertisement_gating: bool = True
+    # Every client and neighbor.
+    links: frozenset[str] = field(init=False, repr=False)
+    # Every link with the kind of message a publication leaves by on it,
+    # clients first, in the order outgoing messages follow.
+    outlets: tuple[tuple[str, MessageKind], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.links = frozenset((*self.clients, *self.neighbors))
+        self.outlets = (
+            *((c, MessageKind.NOTIFY) for c in self.clients),
+            *((n, MessageKind.PUBLISH) for n in self.neighbors),
+        )
 
     def _check_link(self, link: str) -> None:
-        if link not in self.neighbors and link not in self.clients:
+        if link not in self.links:
             raise RoutingError(f"broker {self.id!r} has no link {link!r}")
 
     def _covers(self, s1: Subscription, s2: Subscription) -> bool:
@@ -115,26 +152,37 @@ class BrokerState:
             return intersects(adv, sub)
         return sem_intersects(adv, sub, self.kb)
 
-    def _carried(self, event: Event) -> AbstractSet[str]:
-        """Attributes at which `_matches` can find a value: the event's own
-        under an empty knowledge base, else the augmented event's."""
-        if self.kb.is_empty:
-            return event.attributes
-        return carried_attributes(event, self.kb)
-
-    def _matches(self, event: Event, sub: Subscription) -> bool:
-        if self.kb.is_empty:
-            return match_event(event, sub)
-        return sem_match(event, sub, self.kb)
+    def groups_within(
+        self, order: Iterable[str], attributes: AbstractSet[str]
+    ) -> Iterator[list[SubscriptionEntry]]:
+        """The subscription groups filed under an attribute of `order`, in
+        that order, whose attribute sets lie within `attributes`; the empty
+        set's group, filed under None, comes first."""
+        filed = self.filed
+        if None in filed:
+            yield from filed[None].values()
+        for attribute in order:
+            groups = filed.get(attribute)
+            if groups is not None:
+                for key, group in groups.items():
+                    if key <= attributes:
+                        yield group
 
 
 def _attribute_sets(
     sub: Subscription, kb: KnowledgeBase
-) -> tuple[frozenset[str], frozenset[str]]:
-    """The subscription's group key, `subscription_attributes`, and the
-    attributes it reaches, which a subscription covering it must lie within."""
+) -> tuple[frozenset[str], frozenset[str], Optional[str]]:
+    """The subscription's group key, `subscription_attributes`; the
+    attributes it reaches, which a subscription covering it must lie
+    within; and the attribute its group is filed under.
+
+    That is the key's deepest attribute in the hierarchy, the first by name
+    among equals: an event carrying an attribute carries its ancestors too,
+    so the deepest is the one carried least often.
+    """
     attributes = subscription_attributes(sub, kb)
-    return attributes, attribute_reach(attributes, kb)
+    filing = min(attributes, key=lambda a: (-len(kb.ancestors(a)), a), default=None)
+    return attributes, attribute_reach(attributes, kb), filing
 
 
 def handle_advertise(
@@ -179,11 +227,9 @@ def handle_subscribe(
                 closed.discard(origin)
                 live.add(origin)
         state.gated += len(closed)
-    attributes, reach = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
+    attributes, reach, filing = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
     if state.covering_suppression and live:
-        for key, group in state.by_attributes.items():
-            if not key <= reach:
-                continue
+        for group in state.groups_within(sorted(reach), reach):
             for e in group:
                 if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
                     state.suppressed += len(live & e.forwarded_to)
@@ -191,9 +237,10 @@ def handle_subscribe(
             if not live:
                 break
     forwarded = [n for n in state.neighbors if n in live]
-    entry = SubscriptionEntry(sub, frm, frozenset(forwarded))
+    predicates = normalized(sub, state.kb).predicates
+    entry = SubscriptionEntry(sub, frm, frozenset(forwarded), predicates)
     state.subscriptions[sub.id, frm] = entry
-    state.by_attributes.setdefault(attributes, []).append(entry)
+    state.filed.setdefault(filing, {}).setdefault(attributes, []).append(entry)
     out = [
         Message(MessageKind.SUBSCRIBE, sub, frm=state.id, to=n)
         for n in forwarded
@@ -208,35 +255,39 @@ def handle_publish(
 
     At most one copy leaves per link however many subscriptions match there.
     Every client is a candidate, the publisher too; every neighbor except
-    the sender is.  One walk over the subscription groups whose attributes
-    the event carries tests an entry only while its link is still pending,
-    and marks the link at its first match; the walk ends once a group
-    leaves no link pending.  Which links are marked does not depend on the
-    order of the walk.
+    the sender is.  The event's summary is fetched once, and one walk over
+    the subscription groups whose attributes the event carries tests an
+    entry's normal form against it only while the entry's link is still
+    pending, and marks the link at its first match; the walk ends once a
+    group leaves no link pending.  Which links are marked does not depend
+    on the order of the walk.
     """
     state._check_link(frm)
-    pending = {*state.clients, *(n for n in state.neighbors if n != frm)}
+    pending = set(state.links)
+    if frm in state.neighbors:
+        pending.discard(frm)
+    if not (pending and state.filed):
+        return state, []
+    implied = event_implied(event, state.kb)
     matched = set()
-    if pending and state.by_attributes:
-        carried = state._carried(event)
-        for key, group in state.by_attributes.items():
-            if not key <= carried:
-                continue
-            for e in group:
-                if e.origin in pending and state._matches(event, e.sub):
+    tests = 0
+    for group in state.groups_within(implied, implied.keys()):
+        for e in group:
+            if e.origin in pending:
+                tests += 1
+                if all_implied(e.predicates, implied):
                     pending.discard(e.origin)
                     matched.add(e.origin)
-            if not pending:
-                break
+        if not pending:
+            break
+    state.publish_tests += tests
+    if not matched:
+        return state, []
+    state.matched_links += len(matched)
     out = [
-        Message(MessageKind.NOTIFY, event, frm=state.id, to=c, index=index)
-        for c in state.clients
-        if c in matched
-    ]
-    out += [
-        Message(MessageKind.PUBLISH, event, frm=state.id, to=n, index=index)
-        for n in state.neighbors
-        if n in matched
+        Message(kind, event, frm=state.id, to=link, index=index)
+        for link, kind in state.outlets
+        if link in matched
     ]
     return state, out
 

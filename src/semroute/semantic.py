@@ -26,19 +26,25 @@ always means no event can satisfy both sides.
 This module builds no covering or gating summary; it normalizes, augments
 and admits.  Routing keeps on each entity, with `model.kept`, what it
 derives from it under the last knowledge base asked: a subscription's or an
-advertisement's normal form (None when that is the entity itself, so no
-entity holds itself), on which the kernel keeps its summaries, and an
-event's augmented values summarised as one `syntactic.Implied` per
-attribute over a `(a = v)` predicate per value.  `augment` builds those
-values by attribute in one pass, with the provenance of each added value;
+advertisement's normal form (`normalized`; None when that is the entity
+itself, so no entity holds itself), on which the kernel keeps its
+summaries, and an event's augmented values summarised as one
+`syntactic.Implied` per attribute over a `(a = v)` predicate per value
+(`event_implied`).  Under an empty knowledge base every entity is its own
+normal form and augmentation adds nothing, so neither is computed: the
+event's own values are summarised.  `augment` builds the values by
+attribute in one pass, with the provenance of each added value;
 `--explain` prints the added values and takes each predicate's witness from
 the values at its attribute.  A predicate holds for some value at its
 attribute iff some `(a = v)` implies it, so `sem_match` asks `all_implied`,
-the covering kernel, as `match_event` does.  `sem_match`'s memo is the only
-module-level cache.  Publish admission (`sem_determines`) summarises each
-event pair's value chain, the value and its ancestor terms, as one
-`Implied`, and asks it against the advertised predicates at the pair's
-attribute and its ancestors.
+the covering kernel, as `match_event` does.  Routing asks the same of each
+table entry's normal form against the event's kept summary, without
+`sem_match`, so `sem_match`'s memo, the only module-level cache, is off
+routing's path: the CLI, the mapping-gap check and the tests fill it.
+Publish admission (`sem_admits`, and `sem_determines` for one
+advertisement) summarises each event pair's value chain, the value and its
+ancestor terms, as one `Implied` once per publish, and asks it against the
+advertised predicates at the pair's attribute and its ancestors.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Optional, TypeVar
+from typing import Iterable, Optional, TypeVar
 
 from .knowledge import KnowledgeBase, apply_mapping
 from .model import (
@@ -56,6 +62,7 @@ from .model import (
     Predicate,
     Subscription,
     Value,
+    group_by_attribute,
     kept,
 )
 from .syntactic import Implied, all_implied, covers, implied_by_values, intersects
@@ -188,7 +195,14 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
 def augmented_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     """What the augmented event implies, per attribute it carries a value at:
     the root forms of its own attributes, their ancestors, and the mapping
-    outputs (`syntactic.implied_by_values`)."""
+    outputs (`syntactic.implied_by_values`).
+
+    Under an empty knowledge base the event is its own normal form and
+    augmentation adds nothing, so its own values are summarised directly.
+    """
+    if kb.is_empty:
+        values = group_by_attribute((p.attribute, p.value) for p in event.pairs)
+        return implied_by_values(values)
     return implied_by_values(augment(normalize_event(event, kb), kb).values)
 
 
@@ -204,46 +218,66 @@ def _other_normal_form(
     return None if normal is entity else normal
 
 
-def _normalized(entity: _Predicated, kb: KnowledgeBase) -> _Predicated:
-    """The subscription's or advertisement's normal form, kept on it."""
+def normalized(entity: _Predicated, kb: KnowledgeBase) -> _Predicated:
+    """The subscription's or advertisement's normal form, kept on it; the
+    entity itself under an empty knowledge base, which has no synonyms."""
+    if kb.is_empty:
+        return entity
     normal = kept(entity, "_normalized", kb, _other_normal_form)
     return entity if normal is None else normal
 
 
-def _augmented(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
+def event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
+    """`augmented_implied(event, kb)`, kept on the event: what routing asks
+    of a publication at every broker on its path.  Its keys are the
+    attributes the event carries, at which a subscription can match."""
     return kept(event, "_augmented", kb, augmented_implied)
-
-
-def carried_attributes(event: Event, kb: KnowledgeBase) -> AbstractSet[str]:
-    """The attributes of `augmented_implied(event, kb)`.
-
-    `sem_match` needs a value at every normalized predicate attribute, so it
-    can hold only if `subscription_attributes(sub, kb)` lies within these.
-    """
-    return _augmented(event, kb).keys()
 
 
 @lru_cache(maxsize=None)
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
-    return all_implied(_normalized(sub, kb).predicates, _augmented(event, kb))
+    return all_implied(normalized(sub, kb).predicates, event_implied(event, kb))
+
+
+def _pair_chains(
+    event: Event, kb: KnowledgeBase
+) -> list[tuple[tuple[str, ...], Implied]]:
+    """For each normalized event pair, its attribute and that attribute's
+    ancestors, with the summary of its value chain."""
+    chains = []
+    for pair in event.pairs:
+        root = kb.root_term(pair.attribute)
+        chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
+        chains.append(((root, *kb.ancestors(root)), chain))
+    return chains
+
+
+def sem_admits(
+    advertisements: Iterable[Advertisement], event: Event, kb: KnowledgeBase
+) -> bool:
+    """True iff some advertisement `sem_determines` the event; each pair's
+    value chain is summarised once, however many advertisements are asked."""
+    chains = _pair_chains(event, kb)
+    for adv in advertisements:
+        advertised = normalized(adv, kb).by_attribute
+        for attributes, chain in chains:
+            if not any(
+                chain.entails(pred)
+                for attribute in attributes
+                for pred in advertised.get(attribute, ())
+            ):
+                break
+        else:
+            return True
+    return False
 
 
 def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:
     """True iff every normalized event pair is admitted by some adv predicate
     under hierarchy-lifted matching: one at the pair's attribute or an
     ancestor of it that some value on the pair's value chain satisfies."""
-    advertised = _normalized(adv, kb).by_attribute
-    for pair in event.pairs:
-        root = kb.root_term(pair.attribute)
-        chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
-        if not any(
-            chain.entails(pred)
-            for attribute in (root, *kb.ancestors(root))
-            for pred in advertised.get(attribute, ())
-        ):
-            return False
-    return True
+    return sem_admits((adv,), event, kb)
 
 
 def subscription_attributes(sub: Subscription, kb: KnowledgeBase) -> frozenset[str]:
@@ -268,7 +302,7 @@ def sem_covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase) -> bool:
     `subscription_attributes(s1, kb)` lies within
     `attribute_reach(subscription_attributes(s2, kb), kb)`.
     """
-    return covers(_normalized(s1, kb), _normalized(s2, kb), kb)
+    return covers(normalized(s1, kb), normalized(s2, kb), kb)
 
 
 def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> bool:
@@ -283,4 +317,4 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
     Decided by `syntactic.intersects` over the normal forms (see
     `syntactic.Gate`).
     """
-    return intersects(_normalized(adv, kb), _normalized(sub, kb), kb)
+    return intersects(normalized(adv, kb), normalized(sub, kb), kb)

@@ -57,7 +57,7 @@ from .routing import BrokerState, Message, MessageKind, handle_message
 from .semantic import (
     augmented_implied,
     normalize_subscription,
-    sem_determines,
+    sem_admits,
     sem_match,
     subscription_attributes,
 )
@@ -123,6 +123,11 @@ class SimReport:
     verdict: str = "UNVERIFIED"
     missing: tuple[tuple[str, int], ...] = ()
     spurious: tuple[tuple[str, int], ...] = ()
+    # Work counts, summed over the brokers, that `to_json` and `to_table`
+    # leave out: subscriptions a publication was tested against, and the
+    # links those tests matched.
+    publish_tests: int = 0
+    matched_links: int = 0
 
     def to_json(self) -> str:
         doc = {
@@ -316,10 +321,7 @@ def load_scenario(
             raise ScenarioError(f"{where}: {err}") from None
         index = None
         if kind is MessageKind.PUBLISH:
-            if not any(
-                sem_determines(adv, payload, admission_kb)
-                for adv in advertised[client]
-            ):
+            if not sem_admits(advertised[client], payload, admission_kb):
                 raise ScenarioError(
                     f"{where}: publish by {excerpt(client)} not admitted by any"
                     " of its prior advertisements"
@@ -393,6 +395,8 @@ def run(
         },
         suppressed_subscriptions=sum(s.suppressed for s in states.values()),
         gated_subscriptions=sum(s.gated for s in states.values()),
+        publish_tests=sum(s.publish_tests for s in states.values()),
+        matched_links=sum(s.matched_links for s in states.values()),
     )
 
 
@@ -403,10 +407,12 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     subscription matches semantically over `relation_knowledge`, that is over
     the empty knowledge base in syntactic mode.  Each subscription is
     normalized once, when it becomes active, and each event augmented and
-    summarised once (`augmented_implied`); a subscription is tested only if
-    the event carries all its attributes.  The oracle keeps no state between
-    calls, and neither reads nor keeps anything on the entities or in
-    `sem_match`'s memo.
+    summarised once (`augmented_implied`, which over the empty knowledge
+    base summarises the event's own values); a subscription is tested only
+    if the event carries all its attributes.  The oracle keeps no state
+    between calls and neither reads nor keeps anything on the entities.
+    Like routing, it never asks `sem_match`, so it neither reads nor fills
+    that memo.
     """
     kb = relation_knowledge(scenario.mode, scenario.kb)
     active: list[tuple[str, frozenset[str], Subscription]] = []

@@ -1,8 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semroute.routing
 from semroute.knowledge import KnowledgeBase, SynonymGroup, load_knowledge
-from semroute.model import parse_advertisement, parse_event, parse_subscription
+from semroute.model import (
+    Subscription,
+    parse_advertisement,
+    parse_event,
+    parse_subscription,
+)
 from semroute.routing import (
     BrokerState,
     Message,
@@ -13,7 +22,10 @@ from semroute.routing import (
     handle_publish,
     handle_subscribe,
 )
+from semroute.semantic import normalized, sem_match
 from semroute.sim import load_scenario, run
+
+from .conftest import events_from, make_forest_kb, subscriptions_from
 
 ADV = parse_advertisement('(product = "computer") AND (brand = "IBM") AND (price <= 1500)')
 SUB_WIDE = parse_subscription('(product = "computer") AND (brand = "IBM") AND (price <= 1600)')
@@ -282,7 +294,7 @@ class TestSubscribeAttributeGroups:
             state, _ = handle_advertise(broker(kb=kb), adv, frm="b1")
             state, _ = handle_subscribe(state, stored, frm="c1")
             state, _ = handle_subscribe(state, later, frm="c1")
-            assert frozenset({key}) in state.by_attributes
+            assert frozenset({key}) in state.filed[key]
             assert state.suppressed == suppressed
 
 
@@ -359,24 +371,25 @@ class TestPublishAttributeGroups:
     KB = load_knowledge(KNOWLEDGE)
     UNRELATED = parse_subscription('(colour = "red")')
 
-    def match_calls(self, monkeypatch):
-        """The subscriptions handed to either match relation, in call order."""
+    def match_calls(self, monkeypatch, kb, subs):
+        """The subscriptions among `subs` whose normal forms under `kb` a
+        publish tests, in call order."""
+        by_predicates = {normalized(sub, kb).predicates: sub for sub in subs}
         calls = []
-        for name in ("sem_match", "match_event"):
-            real = getattr(semroute.routing, name)
+        real = semroute.routing.all_implied
 
-            def counting(event, sub, *kb, real=real):
-                calls.append(sub)
-                return real(event, sub, *kb)
+        def counting(predicates, implied):
+            calls.append(by_predicates[predicates])
+            return real(predicates, implied)
 
-            monkeypatch.setattr(semroute.routing, name, counting)
+        monkeypatch.setattr(semroute.routing, "all_implied", counting)
         return calls
 
     def publish(self, monkeypatch, kb, stored, event):
         state = broker(clients=("c1", "c2"), kb=kb)
         state, _ = handle_subscribe(state, self.UNRELATED, frm="c2")
         state, _ = handle_subscribe(state, stored, frm="c1")
-        calls = self.match_calls(monkeypatch)
+        calls = self.match_calls(monkeypatch, state.kb, [self.UNRELATED, stored])
         _, out = handle_publish(state, event, frm="b1")
         return calls, [(m.kind, m.to) for m in out]
 
@@ -415,7 +428,8 @@ class TestPublishAttributeGroups:
                 ],
             }
         )
-        calls = self.match_calls(monkeypatch)
+        subs = [action.payload for action in scenario.script[1:3]]
+        calls = self.match_calls(monkeypatch, KnowledgeBase.empty(), subs)
         assert run(scenario).deliveries == (("s2", 0),)
         assert calls == [scenario.script[2].payload]
 
@@ -426,6 +440,66 @@ class TestPublishAttributeGroups:
         calls, out = self.publish(monkeypatch, kb, sub, event)
         assert calls == []
         assert out == []
+
+
+class TestPublishWalk:
+    """The links a publish marks are those of the candidate entries that
+    `sem_match` accepts, whatever the table and the knowledge base: the
+    empty one, a forest with synonyms, or one with a mapping."""
+
+    OUTLETS = (
+        ("c1", MessageKind.NOTIFY),
+        ("c2", MessageKind.NOTIFY),
+        ("b1", MessageKind.PUBLISH),
+        ("b3", MessageKind.PUBLISH),
+    )
+
+    @staticmethod
+    def pools(data, which):
+        """The knowledge base and the attribute and term pools to draw from."""
+        if which == "mapped":
+            names = ["book", "volume", "item", "article", "price", "cost"]
+            return TestPublishAttributeGroups.KB, names, names
+        forest = make_forest_kb(random.Random(data.draw(st.integers(0, 2**32))), 6, with_synonyms=True)
+        names = [f"t{i}" for i in range(6)]
+        names += sorted(m for g in forest.synonyms for m in g.members)
+        kb = KnowledgeBase.empty() if which == "empty" else forest
+        return kb, names + ["price"], names
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["empty", "forest", "mapped"]))
+    def test_marked_links_equal_a_scan_of_sem_match(self, data, which):
+        kb, attrs, terms = self.pools(data, which)
+        links = [link for link, _ in self.OUTLETS]
+        stored = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(links), subscriptions_from(attrs, terms, max_preds=3)),
+                max_size=12,
+            )
+        )
+        state = broker(clients=("c1", "c2"), kb=kb, advertisement_gating=False)
+        for i, (link, sub) in enumerate(stored):
+            state, _ = handle_subscribe(state, Subscription(sub.predicates, id=f"s{i}"), frm=link)
+        event = data.draw(events_from(attrs, terms))
+        frm = data.draw(st.sampled_from(links))
+        candidates = set(links) - {frm} if frm in state.neighbors else set(links)
+        expected = {
+            e.origin
+            for e in state.subscriptions.values()
+            if e.origin in candidates and sem_match.__wrapped__(event, e.sub, kb)
+        }
+        _, out = handle_publish(state, event, frm=frm, index=0)
+        assert [(m.to, m.kind) for m in out] == [o for o in self.OUTLETS if o[0] in expected]
+        assert state.matched_links == len(expected)
+        assert len(expected) <= state.publish_tests <= len(state.subscriptions)
+
+    def test_entry_naming_no_attribute_is_tested(self):
+        # A subscription built with no predicate has the empty attribute
+        # set, which no attribute files; it matches every event.
+        state = broker(clients=("c1", "c2"))
+        state, _ = handle_subscribe(state, Subscription((), id="all"), frm="c2")
+        _, out = handle_publish(state, EVENT, frm="b1")
+        assert [(m.kind, m.to) for m in out] == [(MessageKind.NOTIFY, "c2")]
 
 
 class TestHandleMessage:

@@ -31,10 +31,11 @@ from semroute.semantic import (
     Provenance,
     attribute_reach,
     augment,
-    carried_attributes,
+    event_implied,
     normalize_advertisement,
     normalize_event,
     normalize_subscription,
+    sem_admits,
     sem_covers,
     sem_determines,
     sem_intersects,
@@ -553,7 +554,7 @@ class TestKeptForms:
             fresh_event, fresh_sub = Event(event.pairs), Subscription(sub.predicates)
             fresh_adv, fresh_s1 = Advertisement(adv.predicates), Subscription(s1.predicates)
             assert sem_match.__wrapped__(event, sub, kb) == sem_match.__wrapped__(fresh_event, fresh_sub, kb)
-            assert carried_attributes(event, kb) == carried_attributes(fresh_event, kb)
+            assert event_implied(event, kb).keys() == event_implied(fresh_event, kb).keys()
             assert sem_covers(s1, sub, kb) == sem_covers(fresh_s1, fresh_sub, kb)
             assert sem_covers(sub, s1, kb) == sem_covers(fresh_sub, fresh_s1, kb)
             assert sem_intersects(adv, sub, kb) == sem_intersects(fresh_adv, fresh_sub, kb)
@@ -970,6 +971,19 @@ class TestSemDetermines:
                 assert sem_determines(adv, event, kb) == sem_determines_oracle(
                     kb, event, adv
                 ), (seed, adv, event)
+
+    def test_admits_when_some_advertisement_determines(self):
+        # One value-chain summary per pair serves every advertisement asked.
+        admitted = 0
+        for seed in range(200):
+            rng, kb, attrs, terms = relation_case(seed + 14000)
+            advs = [random_advertisement(rng, attrs, terms) for _ in range(rng.randint(1, 3))]
+            pool = universe(kb, *advs)
+            event = Event(tuple(rng.choice(pool) for _ in range(rng.randint(1, 2))))
+            expected = any(sem_determines_oracle(kb, event, adv) for adv in advs)
+            assert sem_admits(advs, event, kb) == expected, (seed, advs, event)
+            admitted += expected
+        assert 0 < admitted < 200
 
 
 class TestCoveringForwardingSafety:
