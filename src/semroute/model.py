@@ -246,6 +246,20 @@ class Event:
         return group_by_attribute((p.attribute, p.value) for p in self.pairs)
 
 
+class Row(NamedTuple):
+    """What a subscription requires at one attribute: every `=` value, every
+    `!=` value, and the largest lower bound and smallest upper bound of its
+    ordering predicates, closed as `Predicate.interval` closes them (None
+    when it has none).  Each predicate is quantified over its own value, so
+    the row holds each one rather than their intersection."""
+
+    attribute: str
+    equal: tuple[Value, ...]
+    unequal: tuple[Value, ...]
+    lo: int | None
+    hi: int | None
+
+
 @_hash_once
 @dataclass(frozen=True)
 class Subscription:
@@ -253,6 +267,32 @@ class Subscription:
 
     predicates: tuple[Predicate, ...]
     id: str = field(default="", compare=False)
+
+    @cached_property
+    def requirement(self) -> tuple[Row, ...]:
+        """One `Row` per attribute, in the order the attributes first
+        appear; built on first use and kept."""
+        rows: dict[str, tuple[list[Value], list[Value], list[int | None]]] = {}
+        for p in self.predicates:
+            row = rows.get(p.attribute)
+            if row is None:
+                row = rows[p.attribute] = ([], [], [None, None])
+            if p.op is RelOp.EQ:
+                row[0].append(p.value)
+            elif p.op is RelOp.NE:
+                row[1].append(p.value)
+            else:
+                bounds = row[2]
+                lo, hi = p.interval
+                if hi is None:
+                    if bounds[0] is None or lo > bounds[0]:
+                        bounds[0] = lo
+                elif bounds[1] is None or hi < bounds[1]:
+                    bounds[1] = hi
+        return tuple(
+            Row(attribute, tuple(equal), tuple(unequal), lo, hi)
+            for attribute, (equal, unequal, (lo, hi)) in rows.items()
+        )
 
 
 @_hash_once

@@ -22,18 +22,20 @@ ancestor of one cannot cover it.  A publish tests only the groups whose
 attributes the event carries: a subscription naming an attribute at which
 the (augmented) event has no value cannot match it.  A subscription keeps
 its attribute sets (`model.kept`, under the knowledge base), so the brokers
-on its path compute them once, and each table entry carries the predicates
-of its normal form.  A publish fetches the event's summary
+on its path compute them once, and each table entry carries the
+requirement rows of its normal form (`Subscription.requirement`, built
+once however many brokers store it).  The event side is summarised and the
+subscription side compiled: a publish fetches the event's summary
 (`semantic.event_implied`, kept on the event) once per handling and asks
-each candidate entry's predicates of it with `all_implied`, so routing
-calls neither `sem_match` nor `match_event`; they stay imported only
-because the benchmark's tracer patches them here by name.  Outgoing
-messages follow the order of the broker's clients and neighbors, not the
-walk, so a run replays deterministically.  An empty knowledge base (no
-synonyms, hierarchy or mappings) selects the syntactic relations for
-covering and gating, which equal the semantic ones over it, and takes the
-subscription and the event as their own normal forms; any other selects
-the semantic ones.
+each candidate entry's rows of it with `requirement_met`, one check per
+attribute, so routing calls neither `sem_match` nor `match_event`; they
+stay imported only because the benchmark's tracer patches them here by
+name.  Outgoing messages follow the order of the broker's clients and
+neighbors, not the walk, so a run replays deterministically.  An empty
+knowledge base (no synonyms, hierarchy or mappings) selects the syntactic
+relations for covering and gating, which equal the semantic ones over it,
+and takes the subscription and the event as their own normal forms; any
+other selects the semantic ones.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from .knowledge import KnowledgeBase
-from .model import Advertisement, Event, Predicate, Subscription, kept
+from .model import Advertisement, Event, Row, Subscription, kept
 from .semantic import (
     attribute_reach,
     event_implied,
@@ -52,7 +54,7 @@ from .semantic import (
     sem_intersects,
     subscription_attributes,
 )
-from .syntactic import all_implied, covers, intersects
+from .syntactic import covers, intersects, requirement_met
 # Nothing here calls `sem_match` or `match_event`; `bench/tracing.py`
 # patches them by name.
 from .semantic import sem_match  # noqa: F401
@@ -92,9 +94,9 @@ class SubscriptionEntry:
     # The link the subscription arrived on.
     origin: str
     forwarded_to: frozenset[str]
-    # The predicates of the subscription's normal form under the broker's
-    # knowledge base, which a publication is tested against.
-    predicates: tuple[Predicate, ...]
+    # The requirement rows of the subscription's normal form under the
+    # broker's knowledge base, which a publication is tested against.
+    requirement: tuple[Row, ...]
 
 
 # A table's subscription groups: each attribute set's entries, in arrival
@@ -237,8 +239,8 @@ def handle_subscribe(
             if not live:
                 break
     forwarded = [n for n in state.neighbors if n in live]
-    predicates = normalized(sub, state.kb).predicates
-    entry = SubscriptionEntry(sub, frm, frozenset(forwarded), predicates)
+    requirement = normalized(sub, state.kb).requirement
+    entry = SubscriptionEntry(sub, frm, frozenset(forwarded), requirement)
     state.subscriptions[sub.id, frm] = entry
     state.filed.setdefault(filing, {}).setdefault(attributes, []).append(entry)
     out = [
@@ -275,7 +277,7 @@ def handle_publish(
         for e in group:
             if e.origin in pending:
                 tests += 1
-                if all_implied(e.predicates, implied):
+                if requirement_met(e.requirement, implied):
                     pending.discard(e.origin)
                     matched.add(e.origin)
         if not pending:

@@ -38,7 +38,8 @@ attribute in one pass, with the provenance of each added value;
 the values at its attribute.  A predicate holds for some value at its
 attribute iff some `(a = v)` implies it, so `sem_match` asks `all_implied`,
 the covering kernel, as `match_event` does.  Routing asks the same of each
-table entry's normal form against the event's kept summary, without
+table entry's normal form against the event's kept summary, through the
+normal form's requirement rows (`syntactic.requirement_met`) and without
 `sem_match`, so `sem_match`'s memo, the only module-level cache, is off
 routing's path: the CLI, the mapping-gap check and the tests fill it.
 Publish admission (`sem_admits`, and `sem_determines` for one

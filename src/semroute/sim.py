@@ -343,6 +343,13 @@ def load_scenario(
     )
 
 
+# Each message kind's rank in the order of the kinds' names, which breaks
+# ties between messages with the same destination and source.
+_KIND_RANK = {
+    kind: rank for rank, kind in enumerate(sorted(MessageKind, key=lambda k: k.value))
+}
+
+
 def run(
     scenario: Scenario,
     covering_suppression: bool = True,
@@ -364,26 +371,29 @@ def run(
         )
         for b, peers in scenario.neighbors.items()
     }
-    counts: dict[str, Counter] = {kind.value: Counter() for kind in MessageKind}
+    traffic: Counter = Counter()
     deliveries: set[tuple[str, int]] = set()
 
     for first in scenario.script:
-        counts[first.kind.value][f"{first.frm}->{first.to}"] += 1
+        traffic[first.kind, first.frm, first.to] += 1
         frontier = [first]
         while frontier:
             next_frontier: list[Message] = []
-            for msg in sorted(
-                frontier, key=lambda m: (m.to, m.frm, m.kind.value)
-            ):
+            if len(frontier) > 1:
+                frontier.sort(key=lambda m: (m.to, m.frm, _KIND_RANK[m.kind]))
+            for msg in frontier:
                 if msg.kind is MessageKind.NOTIFY:
                     deliveries.add((msg.to, msg.index))
                     continue
                 _, out = handle_message(states[msg.to], msg)
                 for o in out:
-                    counts[o.kind.value][f"{o.frm}->{o.to}"] += 1
+                    traffic[o.kind, o.frm, o.to] += 1
                 next_frontier.extend(out)
             frontier = next_frontier
 
+    counts: dict[str, Counter] = {kind.value: Counter() for kind in MessageKind}
+    for (kind, frm, to), n in traffic.items():
+        counts[kind.value][f"{frm}->{to}"] += n
     return SimReport(
         mode=scenario.mode.value,
         seed=scenario.seed,

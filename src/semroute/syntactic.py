@@ -28,6 +28,16 @@ and its ancestors, `intersects` a `Gate` per subscription attribute asked
 of the advertisement, and `match_event` an `Implied` per attribute of the
 event over one `(a = v)` predicate per value, since a predicate holds for
 some value there iff one of those implies it.
+
+The side that must be implied is a subscription, compiled once into one
+requirement row per attribute (`Subscription.requirement`: its `=` and
+`!=` values and its tightest bounds), and `requirement_met` asks the rows
+of a summary with one check per attribute.  `covers` asks the covering
+subscription's rows of the covered one's summary, and routing asks each
+table entry's rows of the event's summary.  `match_event`, like
+`semantic.sem_match` and the simulator's oracle, asks the predicates one
+by one (`all_implied`), so these references grade the rows rather than
+share them.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .model import (
     Event,
     Predicate,
     RelOp,
+    Row,
     Subscription,
     Value,
     ValueKind,
@@ -185,6 +196,45 @@ def all_implied(preds: Iterable[Predicate], implied: dict[str, Implied]) -> bool
     return True
 
 
+def requirement_met(requirement: Iterable[Row], implied: dict[str, Implied]) -> bool:
+    """True iff the summary at each row's attribute entails every predicate
+    the row stands for: `all_implied` over the subscription's predicates,
+    decided one row at a time with the comparisons `Implied.entails` makes.
+    By the cases of `Implied`'s table:
+
+      - the half-line cases: every lower bound holds iff the largest, `lo`,
+        does, `floor >= lo`, and every upper bound iff the smallest, `hi`,
+        does, `ceil <= hi`; a missing `floor` or `ceil` entails no bound;
+      - the (= w) case, for each w in `equal`: w in `values`, or w's data
+        in `above`;
+      - the (!= w) case, for each w in `unequal`: w in `excluded`, or
+        `values` holds a value other than w.
+
+    A row joins no two predicates into one constraint, so `lo` above `hi`
+    is met by a summary holding both a value at or above `lo` and one at or
+    below `hi`.
+    """
+    for attribute, equal, unequal, lo, hi in requirement:
+        summary = implied.get(attribute)
+        if summary is None:
+            return False
+        if lo is not None:
+            floor = summary.floor
+            if floor is None or floor < lo:
+                return False
+        if hi is not None:
+            ceil = summary.ceil
+            if ceil is None or ceil > hi:
+                return False
+        for v in equal:
+            if v not in summary.values and v.data not in summary.above:
+                return False
+        for w in unequal:
+            if w not in summary.excluded and not _holds_other(summary.values, w):
+                return False
+    return True
+
+
 def _implied(sub: Subscription, kb: KnowledgeBase) -> dict[str, Implied]:
     return implied_by_attribute(sub.predicates, kb)
 
@@ -200,9 +250,10 @@ def covers(s1: Subscription, s2: Subscription, kb: KnowledgeBase = _EMPTY) -> bo
     case: (= v) implies (= w) when v descends from w; against (!= w) a pair
     satisfying (= v) still carries v itself, so that rule is unchanged.  s2
     keeps its summary under `kb` (an `Implied` at each of its attributes
-    and their ancestors), so each s1 predicate costs a lookup.
+    and their ancestors), and s1's rows (`Subscription.requirement`) are
+    asked of it, so each attribute of s1 costs a lookup.
     """
-    return all_implied(s1.predicates, kept(s2, "_implied", kb, _implied))
+    return requirement_met(s1.requirement, kept(s2, "_implied", kb, _implied))
 
 
 class Gate:

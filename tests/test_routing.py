@@ -374,15 +374,15 @@ class TestPublishAttributeGroups:
     def match_calls(self, monkeypatch, kb, subs):
         """The subscriptions among `subs` whose normal forms under `kb` a
         publish tests, in call order."""
-        by_predicates = {normalized(sub, kb).predicates: sub for sub in subs}
+        by_requirement = {normalized(sub, kb).requirement: sub for sub in subs}
         calls = []
-        real = semroute.routing.all_implied
+        real = semroute.routing.requirement_met
 
-        def counting(predicates, implied):
-            calls.append(by_predicates[predicates])
-            return real(predicates, implied)
+        def counting(requirement, implied):
+            calls.append(by_requirement[requirement])
+            return real(requirement, implied)
 
-        monkeypatch.setattr(semroute.routing, "all_implied", counting)
+        monkeypatch.setattr(semroute.routing, "requirement_met", counting)
         return calls
 
     def publish(self, monkeypatch, kb, stored, event):

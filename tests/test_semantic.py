@@ -20,12 +20,14 @@ from semroute.model import (
     Pair,
     Predicate,
     RelOp,
+    Row,
     Subscription,
     Value,
     group_by_attribute,
     parse_advertisement,
     parse_event,
     parse_subscription,
+    render,
 )
 from semroute.semantic import (
     Provenance,
@@ -42,6 +44,7 @@ from semroute.semantic import (
     sem_match,
     subscription_attributes,
 )
+from semroute.sim import load_scenario, oracle_deliveries, run
 from semroute.syntactic import covers, intersects, match_event
 
 from .bruteforce import (
@@ -742,6 +745,81 @@ class TestSemCoversSummary:
         empty = KnowledgeBase.empty()
         for kb, expected in ((example_kb, True), (empty, False), (example_kb, True)):
             assert sem_covers(s1, s2, kb) == expected
+
+
+ROW_ATTRS = ["t0", "t1"]
+ROW_TERMS = ["t0", "t1", "t2", "t3"]
+
+
+class TestRequirementRows:
+    """`requirement_met` asks a subscription's per-attribute rows of a
+    summary; it equals asking the summary predicate by predicate and the
+    per-pair rule, however the subscription repeats an attribute."""
+
+    @PROPERTY
+    @given(
+        st.integers(0, 2**32),
+        subscriptions_from(ROW_ATTRS, ROW_TERMS, max_preds=6),
+        st.lists(predicates_from(ROW_ATTRS, ROW_TERMS), max_size=6),
+    )
+    def test_rows_equal_the_predicates_against_a_forest_summary(self, forest, sub, held):
+        kb = make_forest_kb(random.Random(forest), len(ROW_TERMS))
+        implied = syntactic.implied_by_attribute(held, kb)
+        expected = all(
+            any(_sem_implies(q, p, kb) for q in held) for p in sub.predicates
+        )
+        assert syntactic.all_implied(sub.predicates, implied) == expected
+        assert syntactic.requirement_met(sub.requirement, implied) == expected
+
+    @PROPERTY
+    @given(
+        events_from(ROW_ATTRS, ROW_TERMS),
+        subscriptions_from(ROW_ATTRS, ROW_TERMS, max_preds=6),
+    )
+    def test_rows_equal_the_predicates_against_an_events_values(self, event, sub):
+        implied = syntactic.implied_by_values(event.by_attribute)
+        expected = all(
+            any(
+                implies(Predicate(pair.attribute, RelOp.EQ, pair.value), p)
+                for pair in event.pairs
+                if pair.attribute == p.attribute
+            )
+            for p in sub.predicates
+        )
+        assert syntactic.all_implied(sub.predicates, implied) == expected
+        assert syntactic.requirement_met(sub.requirement, implied) == expected
+
+    def test_each_bound_is_met_by_its_own_value(self):
+        # `cost` is a synonym of `price`, so the event carries 3 and 9 at
+        # `price`: 9 meets the lower bound and 3 the upper one, although no
+        # one value lies in both.
+        knowledge = {"synonyms": [{"root": "price", "members": ["cost"]}]}
+        kb = load_knowledge(knowledge)
+        sub = parse_subscription("(price > 5) AND (price < 4)")
+        event = parse_event("{(price, 3), (cost, 9)}")
+        implied = event_implied(event, kb)
+        normal = normalize_subscription(sub, kb)
+        assert normal.requirement == (Row("price", (), (), 6, 3),)
+        assert syntactic.requirement_met(normal.requirement, implied)
+        assert syntactic.all_implied(normal.predicates, implied)
+        assert sem_match_oracle(kb, event, sub)
+        scenario = load_scenario(
+            {
+                "brokers": ["b1", "b2"],
+                "edges": [["b1", "b2"]],
+                "clients": [{"id": "pub", "broker": "b1"}, {"id": "s", "broker": "b2"}],
+                "knowledge": knowledge,
+                "mode": "semantic",
+                "script": [
+                    {"action": "advertise", "client": "pub", "payload": "(price >= 0)"},
+                    {"action": "subscribe", "client": "s", "payload": render(sub)},
+                    {"action": "publish", "client": "pub", "payload": render(event)},
+                    {"action": "publish", "client": "pub", "payload": "{(price, 3)}"},
+                ],
+            }
+        )
+        assert oracle_deliveries(scenario) == {("s", 0)}
+        assert run(scenario).deliveries == (("s", 0),)
 
 
 class TestCoveringAttributeReach:

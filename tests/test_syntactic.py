@@ -98,6 +98,17 @@ class TestCovers:
         for sub in (S1, S1_NARROW, S1_WIDE, S1_DELL):
             assert covers(sub, sub)
 
+    @pytest.mark.parametrize(
+        "s1, expected",
+        [("(a >= 0) AND (a <= 100)", True), ("(a >= 0) AND (a <= 15)", False)],
+    )
+    def test_repeated_attribute_is_covered_by_its_tightest_bounds(self, s1, expected):
+        s1 = parse_subscription(s1)
+        s2 = parse_subscription("(a >= 10) AND (a <= 20) AND (a >= 12)")
+        assert covers(s1, s2) == expected
+        pool = universe(empty_kb(), s1, s2)
+        assert (covering_counterexample(s1, s2, pool) is None) == expected
+
 
 class TestDetermines:
     def test_every_pair_admitted(self):
