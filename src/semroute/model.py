@@ -346,8 +346,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _unquote(token: _Token) -> str:
-    body = token.text[1:-1]
+def _unquote(quoted: str) -> str:
+    body = quoted[1:-1]
+    if "\\" not in body:
+        return body
     out = []
     i = 0
     while i < len(body):
@@ -393,7 +395,7 @@ class _Parser:
             return tok.text.lower()
         if tok.kind == "quoted":
             self.advance()
-            name = _unquote(tok).lower()
+            name = _unquote(tok.text).lower()
             if not name:
                 raise ParseError("empty attribute name", tok.position)
             return name
@@ -403,7 +405,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "quoted":
             self.advance()
-            text = _unquote(tok)
+            text = _unquote(tok.text)
             if not text:
                 raise ParseError("empty string value", tok.position)
             return Value.string(text)
@@ -436,7 +438,7 @@ class _Parser:
         if tok.kind != "op":
             raise ParseError("expected relational operator", tok.position)
         self.advance()
-        op = RelOp(tok.text)
+        op = _RELOPS[tok.text]
         val = self.value()
         self.expect_punct(")")
         if op.is_ordering and not val.is_int:
@@ -446,41 +448,116 @@ class _Parser:
             )
         return Predicate(attr, op, val)
 
+    def event_pairs(self) -> tuple[Pair, ...]:
+        open_tok = self.expect_punct("{")
+        if self.peek().kind == "punct" and self.peek().text == "}":
+            raise ParseError("empty event", open_tok.position)
+        pairs = [self.pair()]
+        while self.peek().text == ",":
+            self.advance()
+            pairs.append(self.pair())
+        self.expect_punct("}")
+        self.expect_eof()
+        seen = set()
+        for p in pairs:
+            if p.attribute in seen:
+                raise ParseError(f"duplicate attribute {excerpt(p.attribute)}", 0)
+            seen.add(p.attribute)
+        return tuple(pairs)
+
+    def predicates(self, what: str) -> tuple[Predicate, ...]:
+        if self.peek().kind == "eof":
+            raise ParseError(f"empty {what}", 0)
+        predicates = [self.predicate()]
+        while True:
+            tok = self.peek()
+            if tok.kind == "bare" and tok.text.upper() == "AND":
+                self.advance()
+                predicates.append(self.predicate())
+            else:
+                break
+        self.expect_eof()
+        return tuple(predicates)
+
+
+# Production scanning.  Each pattern reads one whole pair or predicate, with
+# the separator before it and the whitespace around both, as the tokens the
+# tokenizer would make of the same text: a word ends only where no bareword
+# character follows, so `ANDx` or `truex` never reads as a keyword.  A text
+# the scans do not consume whole, or that breaks a rule they leave to code
+# (the 64-bit range, integer values under ordering operators, duplicate
+# event attributes), goes to `_Parser`, which alone reports what is wrong.
+# Empty quotes and integers of more than 19 digits never scan, so `_Parser`
+# reports the former and judges the latter.
+_SCAN_ATTRIBUTE = r'(?:([A-Za-z_][A-Za-z0-9_\-]*)|("(?:[^"\\]|\\.)+"))'
+_SCAN_VALUE = (
+    r'(?:(-?[0-9]{1,19})|("(?:[^"\\]|\\.)+")|([Tt][Rr][Uu][Ee])|[Ff][Aa][Ll][Ss][Ee])'
+)
+_PAIR_RE = re.compile(
+    rf"\s*([{{,])\s*\(\s*{_SCAN_ATTRIBUTE}\s*,\s*{_SCAN_VALUE}\s*\)\s*(\}}\s*\Z)?"
+)
+_PREDICATE_RE = re.compile(
+    rf"\s*([Aa][Nn][Dd])?\s*\(\s*{_SCAN_ATTRIBUTE}\s*(!=|<=|>=|=|<|>)\s*{_SCAN_VALUE}\s*\)\s*"
+)
+_RELOPS = {op.value: op for op in RelOp}
+
+
+def _scanned_value(number: str | None, quoted: str | None, true: str | None) -> Value | None:
+    if number is not None:
+        data = int(number)
+        if not INT_MIN <= data <= INT_MAX:
+            return None
+        return Value(ValueKind.INT, data)
+    if quoted is not None:
+        return Value(ValueKind.STRING, _unquote(quoted).lower())
+    return Value(ValueKind.BOOL, true is not None)
+
+
+def _scan_pairs(text: str) -> tuple[Pair, ...] | None:
+    """The event's pairs if the pair scan reads `text` whole, else None."""
+    pairs: list[Pair] = []
+    end = 0
+    closed = None
+    for m in _PAIR_RE.finditer(text):
+        separator, bare, quoted, number, string, true, closed = m.groups()
+        if m.start() != end or (separator == "{") != (end == 0):
+            return None
+        value = _scanned_value(number, string, true)
+        if value is None:
+            return None
+        attribute = bare.lower() if bare else _unquote(quoted).lower()
+        pairs.append(Pair(attribute, value))
+        end = m.end()
+    if closed is None or len({p.attribute for p in pairs}) < len(pairs):
+        return None
+    return tuple(pairs)
+
+
+def _scan_predicates(text: str) -> tuple[Predicate, ...] | None:
+    """The predicates if the predicate scan reads `text` whole, else None."""
+    predicates: list[Predicate] = []
+    end = 0
+    for m in _PREDICATE_RE.finditer(text):
+        joint, bare, quoted, op, number, string, true = m.groups()
+        if m.start() != end or (joint is None) != (end == 0):
+            return None
+        relop = _RELOPS[op]
+        if number is None and relop.is_ordering:
+            return None
+        value = _scanned_value(number, string, true)
+        if value is None:
+            return None
+        attribute = bare.lower() if bare else _unquote(quoted).lower()
+        predicates.append(Predicate(attribute, relop, value))
+        end = m.end()
+    if end != len(text) or not predicates:
+        return None
+    return tuple(predicates)
+
 
 def parse_event(text: str) -> Event:
     """Parse ``{(attr, value), ...}`` into a canonical event."""
-    parser = _Parser(text)
-    open_tok = parser.expect_punct("{")
-    if parser.peek().kind == "punct" and parser.peek().text == "}":
-        raise ParseError("empty event", open_tok.position)
-    pairs = [parser.pair()]
-    while parser.peek().text == ",":
-        parser.advance()
-        pairs.append(parser.pair())
-    parser.expect_punct("}")
-    parser.expect_eof()
-    seen = set()
-    for p in pairs:
-        if p.attribute in seen:
-            raise ParseError(f"duplicate attribute {excerpt(p.attribute)}", 0)
-        seen.add(p.attribute)
-    return Event(tuple(pairs))
-
-
-def _parse_predicates(text: str, what: str) -> tuple[Predicate, ...]:
-    parser = _Parser(text)
-    if parser.peek().kind == "eof":
-        raise ParseError(f"empty {what}", 0)
-    predicates = [parser.predicate()]
-    while True:
-        tok = parser.peek()
-        if tok.kind == "bare" and tok.text.upper() == "AND":
-            parser.advance()
-            predicates.append(parser.predicate())
-        else:
-            break
-    parser.expect_eof()
-    return tuple(predicates)
+    return Event(_scan_pairs(text) or _Parser(text).event_pairs())
 
 
 def parse_subscription(text: str, sub_id: str | None = None) -> Subscription:
@@ -489,14 +566,14 @@ def parse_subscription(text: str, sub_id: str | None = None) -> Subscription:
     The id defaults to the canonical rendered text, which is stable across
     runs and unique per content.
     """
-    predicates = _parse_predicates(text, "subscription")
+    predicates = _scan_predicates(text) or _Parser(text).predicates("subscription")
     canonical = _render_predicates(predicates)
     return Subscription(predicates, id=sub_id if sub_id is not None else canonical)
 
 
 def parse_advertisement(text: str, adv_id: str | None = None) -> Advertisement:
     """Parse the subscription grammar into an advertisement."""
-    predicates = _parse_predicates(text, "advertisement")
+    predicates = _scan_predicates(text) or _Parser(text).predicates("advertisement")
     canonical = _render_predicates(predicates)
     return Advertisement(predicates, id=adv_id if adv_id is not None else canonical)
 

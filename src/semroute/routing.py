@@ -71,6 +71,11 @@ class MessageKind(enum.Enum):
     PUBLISH = "PUBLISH"
     NOTIFY = "NOTIFY"
 
+    # Members are singletons, so identity is their equality; `sim.run` keys
+    # its traffic counts and frontier ranks on them, and `Enum.__hash__` is
+    # a Python-level call where this one is C.
+    __hash__ = object.__hash__
+
 
 Payload = Union[Advertisement, Subscription, Event]
 # A broker table key: (payload id, arrival link).

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,22 @@ class TestParseEvent:
             (parse_event, "{(a, 1) (b, 2)}", "expected '}'", 8),
             (parse_event, "{(a, 1)} extra", "unexpected trailing input 'extra'", 9),
             (parse_subscription, "(a = 1) (b = 2)", "unexpected trailing input '('", 8),
+            (parse_event, '{("", 1)}', "empty attribute name", 2),
+            (parse_event, '{(a, "")}', "empty string value", 5),
+            (parse_event, "{(a, 9223372036854775808)}", "integer out of 64-bit range", 5),
+            (parse_subscription, "(a = 1) AND (b 1)", "expected relational operator", 15),
+            (parse_event, "{(a, x)}", "expected value", 5),
+            (parse_event, "{(1, 2)}", "expected attribute name", 2),
+            (
+                parse_subscription,
+                '(a = 1) AND (b < "x")',
+                "ordering operator '<' requires an integer value",
+                12,
+            ),
+            (parse_event, "  { }", "empty event", 2),
+            (parse_subscription, "  ", "empty subscription", 0),
+            (parse_advertisement, "", "empty advertisement", 0),
+            (parse_event, "{(a, 1), (A, 2)}", "duplicate attribute 'a'", 0),
         ],
         ids=[
             "stray-at",
@@ -109,6 +126,17 @@ class TestParseEvent:
             "missing-comma-between-pairs",
             "trailing-word",
             "trailing-predicate",
+            "empty-attribute",
+            "empty-string",
+            "integer-out-of-range",
+            "missing-operator",
+            "missing-value",
+            "missing-attribute",
+            "ordering-needs-integer",
+            "empty-event",
+            "empty-subscription",
+            "empty-advertisement",
+            "duplicate-attribute",
         ],
     )
     def test_error_position_reported(self, parse, text, message, position):
@@ -271,6 +299,15 @@ class TestRoundTrip:
     def test_render_idempotent(self, sub):
         once = render(sub)
         assert render(parse_subscription(once)) == once
+
+    @settings(max_examples=100)
+    @given(events(), subscriptions(), advertisements())
+    def test_rendered_text_never_reaches_the_token_parser(self, event, sub, adv):
+        # Well-formed text is read by the production scan alone.
+        with mock.patch.object(semroute.model, "_Parser", side_effect=AssertionError):
+            assert parse_event(render(event)) == event
+            assert parse_subscription(render(sub)) == sub
+            assert parse_advertisement(render(adv)) == adv
 
 
 ENTITIES = {
