@@ -194,7 +194,9 @@ class KnowledgeBase:
 
     @classmethod
     def empty(cls) -> "KnowledgeBase":
-        return cls()
+        """The one empty knowledge base, so what `model.kept` keeps under it
+        is built once per entity, however many runs ask."""
+        return _EMPTY
 
     def root_term(self, term: str) -> str:
         """Group root for synonym members and roots; other terms unchanged."""
@@ -237,6 +239,9 @@ class KnowledgeBase:
                 self.synonyms, self.hierarchy, (), self.reference_year
             )
         return self._bare
+
+
+_EMPTY = KnowledgeBase()
 
 
 def _json_value(raw: object, where: str) -> Value:

@@ -60,35 +60,18 @@ _T = TypeVar("_T")
 _K = TypeVar("_K")
 
 
-def _hash_once(cls: type[_T]) -> type[_T]:
-    """Keep the dataclass-generated hash after its first computation.
+def _pickled_as_fields(cls: type[_T]) -> type[_T]:
+    """Pickle an entity as exactly its dataclass fields.
 
-    Entities are immutable and serve as keys of sets and dicts again and
-    again: routing looks `Value`s up in the kept summaries at every hop, and
-    the CLI and the tests key `semantic.sem_match`'s memo, which routing no
-    longer fills, on events and subscriptions.  The generated hash rehashes
-    every nested entity on each call.  The kept
-    value is the generated one, over compared fields only (so never `id`),
-    computed on first use rather than at construction, because most parsed
-    entities are never hashed.  The pickled state is exactly the dataclass
-    fields: string hashes differ between interpreter processes, and what
-    `kept` and the cached properties hold is rebuilt on first use.
+    What `kept` and the cached properties hold on an instance is rebuilt on
+    first use; pickled, it would only weigh the state down (and carry a
+    knowledge base along).
     """
-    generated = cls.__hash__
     names = tuple(f.name for f in fields(cls))
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-            return value
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in names}
 
-    cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
 
@@ -97,8 +80,8 @@ def kept(entity: Any, name: str, key: _K, build: Callable[[Any, _K], _T]) -> _T:
     """`build(entity, key)`, built on first use and kept on the entity.
 
     Routing and the relations keep here what they derive from an entity (a
-    normal form, a per-attribute summary, an attribute set), the way
-    `_hash_once` keeps the hash: as an instance attribute, outside the
+    normal form, a per-attribute summary, an attribute set) the way the
+    cached properties keep theirs: as an instance attribute, outside the
     compared fields and the pickled state.  `key` is the hierarchy or
     knowledge base it is built under; asked under another one, it is
     rebuilt, and only the last is kept.
@@ -123,14 +106,19 @@ class ValueKind(enum.Enum):
     INT = "int"
     BOOL = "bool"
 
+    # Members are singletons, so identity is their equality; every `Value`
+    # hash includes its kind's, and `Enum.__hash__` is a Python-level call
+    # where this one is C.
+    __hash__ = object.__hash__
 
-@_hash_once
-@dataclass(frozen=True)
-class Value:
+
+class Value(NamedTuple):
     """A string, integer, or boolean attribute value.
 
     The explicit kind tag keeps values of different kinds unequal even where
-    Python's own equality would conflate them (``True == 1``).
+    Python's own equality would conflate them (``True == 1``).  A value is a
+    named tuple, so it hashes and compares in C: routing looks values up in
+    the kept summaries at every hop.
     """
 
     kind: ValueKind
@@ -170,6 +158,9 @@ class RelOp(enum.Enum):
     GT = ">"
     GE = ">="
 
+    # As for `ValueKind`: identity is equality, and this hash is C.
+    __hash__ = object.__hash__
+
     @property
     def is_ordering(self) -> bool:
         return self in (RelOp.LT, RelOp.LE, RelOp.GT, RelOp.GE)
@@ -197,14 +188,12 @@ class RelOp(enum.Enum):
         return a >= b
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
     attribute: str
     value: Value
 
 
-@_hash_once
+@_pickled_as_fields
 @dataclass(frozen=True)
 class Predicate:
     attribute: str
@@ -229,7 +218,7 @@ class Predicate:
         raise ValueError(f"no interval for operator {self.op.value!r}")
 
 
-@_hash_once
+@_pickled_as_fields
 @dataclass(frozen=True)
 class Event:
     """An ordered list of attribute-value pairs.
@@ -260,7 +249,7 @@ class Row(NamedTuple):
     hi: int | None
 
 
-@_hash_once
+@_pickled_as_fields
 @dataclass(frozen=True)
 class Subscription:
     """A conjunction of predicates; the id is an opaque routing token."""
@@ -295,7 +284,7 @@ class Subscription:
         )
 
 
-@_hash_once
+@_pickled_as_fields
 @dataclass(frozen=True)
 class Advertisement:
     """A disjunctive predicate set announcing future publications."""
@@ -500,6 +489,8 @@ _PREDICATE_RE = re.compile(
     rf"\s*([Aa][Nn][Dd])?\s*\(\s*{_SCAN_ATTRIBUTE}\s*(!=|<=|>=|=|<|>)\s*{_SCAN_VALUE}\s*\)\s*"
 )
 _RELOPS = {op.value: op for op in RelOp}
+# Each operator's text, read without the enum's Python-level `value` property.
+_OP_TEXT = {op: text for text, op in _RELOPS.items()}
 
 
 def _scanned_value(number: str | None, quoted: str | None, true: str | None) -> Value | None:
@@ -595,7 +586,7 @@ def _render_value(value: Value) -> str:
 
 def _render_predicates(predicates: tuple[Predicate, ...]) -> str:
     parts = [
-        f"({_render_attr(p.attribute)} {p.op.value} {_render_value(p.value)})"
+        f"({_render_attr(p.attribute)} {_OP_TEXT[p.op]} {_render_value(p.value)})"
         for p in predicates
     ]
     return " AND ".join(parts)

@@ -1,7 +1,7 @@
 """Matching relations over events, subscriptions, advertisements.
 
 `covers` and `intersects` are the relation kernel of both modes.  Each takes
-a `KnowledgeBase`, by default an empty one built at import, under which
+a `KnowledgeBase`, by default the one `KnowledgeBase.empty()`, under which
 names compare literally and no term has a relative, and assumes input in
 its root form, which every entity is under the empty one; `semantic`
 normalizes first.  `match_event` compares names literally.
@@ -61,7 +61,7 @@ from .model import (
 
 # The knowledge base the relations default to: no synonyms, so names
 # compare literally, and no hierarchy edges.
-_EMPTY = KnowledgeBase()
+_EMPTY = KnowledgeBase.empty()
 _NONE: frozenset = frozenset()
 
 

@@ -385,6 +385,30 @@ sys.stdout.buffer.write(pickle.dumps((event, sub, adv)))
             assert hash(entity) == hash(built_here)
 
 
+class TestValuesHashInC:
+    def test_hash_equality_and_lookup_make_no_python_call(self):
+        # Routing looks values up in the kept summaries at every hop; a
+        # Python-level `__hash__` or `__eq__` would cost a call on each.
+        values = [Value.string("x"), Value.integer(1), Value.boolean(True)]
+        others = [Value.string("X"), Value.integer(1), Value.boolean(True)]
+        assert {v.kind for v in values} == set(ValueKind)
+        pool = frozenset(others)
+        pair = Pair("a", values[1])
+        found, calls = [], []
+        sys.setprofile(
+            lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name)
+        )
+        try:
+            for v, w in zip(values, others):
+                hash(v)
+                found.append(v == w and v in pool)
+            hash(pair)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert found == [True, True, True]
+
+
 EVENT = '{(a, "x"), (b, 2)}'
 SUB = '(a = "x") AND (b > 1)'
 ADV = '(a = "x") AND (b >= 0)'

@@ -457,6 +457,29 @@ class TestEmptyKnowledge:
         assert delivered > 0
 
 
+class TestKeptAcrossRuns:
+    def test_a_second_syntactic_run_builds_no_attribute_sets(self, monkeypatch):
+        # Every syntactic run relates under the one empty knowledge base, so
+        # what the first run kept on a subscription serves the next.
+        built = []
+        build = semroute.routing._attribute_sets
+
+        def counting(sub, kb):
+            built.append(sub)
+            return build(sub, kb)
+
+        monkeypatch.setattr(semroute.routing, "_attribute_sets", counting)
+        for seed in range(5):
+            scenario = generate_scenario(seed).with_mode(RoutingMode.SYNTACTIC)
+            built.clear()
+            first = run(scenario)
+            assert built, seed
+            assert len({id(sub) for sub in built}) == len(built), seed
+            once = len(built)
+            assert run(scenario) == first, seed
+            assert len(built) == once, seed
+
+
 def _per_pair_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     """Every (subscriber, event) pair tested with one `sem_match` call over
     the mode's knowledge base."""
