@@ -95,8 +95,9 @@ class KnowledgeBase:
     """Immutable synonym/hierarchy/mapping store.
 
     Instances compare and hash by identity, which lets `sem_match`'s memo
-    and `model.kept` key on them cheaply.  The only state filled after
-    construction is `ancestor_values`' table, which changes no answer.
+    and `model.kept` key on them cheaply; so hold on to what the uncached
+    `without_mappings` returns.  The only state filled after construction
+    is `ancestor_values`' table, which changes no answer.
     """
 
     def __init__(
@@ -116,7 +117,6 @@ class KnowledgeBase:
         self._ancestors: dict[str, tuple[str, ...]] = {}
         self._validate()
         self._parents_with_children = frozenset(self._parent.values())
-        self._bare: Optional[KnowledgeBase] = None
         self._ancestor_values: dict[str, tuple[Value, ...]] = {}
 
     def _validate(self) -> None:
@@ -231,14 +231,11 @@ class KnowledgeBase:
         return bool(self.ancestors(term)) or term in self._parents_with_children
 
     def without_mappings(self) -> "KnowledgeBase":
-        """The same knowledge base minus its mappings, built once."""
+        """The same knowledge base minus its mappings: itself if it has
+        none, else a new instance."""
         if not self.mappings:
             return self
-        if self._bare is None:
-            self._bare = KnowledgeBase(
-                self.synonyms, self.hierarchy, (), self.reference_year
-            )
-        return self._bare
+        return KnowledgeBase(self.synonyms, self.hierarchy, (), self.reference_year)
 
 
 _EMPTY = KnowledgeBase()

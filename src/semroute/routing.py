@@ -31,11 +31,12 @@ each candidate entry's rows of it with `requirement_met`, one check per
 attribute, so routing calls neither `sem_match` nor `match_event`; they
 stay imported only because the benchmark's tracer patches them here by
 name.  Outgoing messages follow the order of the broker's clients and
-neighbors, not the walk, so a run replays deterministically.  An empty
-knowledge base (no synonyms, hierarchy or mappings) selects the syntactic
-relations for covering and gating, which equal the semantic ones over it,
-and takes the subscription and the event as their own normal forms; any
-other selects the semantic ones.
+neighbors, not the walk, so a handler returns the same list whatever the
+walk's order; the simulator's reports do not depend on that order at all
+(see `sim`).  An empty knowledge base (no synonyms, hierarchy or mappings)
+selects the syntactic relations for covering and gating, which equal the
+semantic ones over it, and takes the subscription and the event as their
+own normal forms; any other selects the semantic ones.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class MessageKind(enum.Enum):
     NOTIFY = "NOTIFY"
 
     # Members are singletons, so identity is their equality; `sim.run` keys
-    # its traffic counts and frontier ranks on them, and `Enum.__hash__` is
-    # a Python-level call where this one is C.
+    # its traffic counts on them, and `Enum.__hash__` is a Python-level call
+    # where this one is C.
     __hash__ = object.__hash__
 
 

@@ -41,7 +41,8 @@ the covering kernel, as `match_event` does.  Routing asks the same of each
 table entry's normal form against the event's kept summary, through the
 normal form's requirement rows (`syntactic.requirement_met`) and without
 `sem_match`, so `sem_match`'s memo, the only module-level cache, is off
-routing's path: the CLI, the mapping-gap check and the tests fill it.
+routing's path, as it is off the oracle's and the mapping-gap check's in
+`sim`: only the CLI and the tests fill it.
 Publish admission (`sem_admits`, and `sem_determines` for one
 advertisement) summarises each event pair's value chain, the value and its
 ancestor terms, as one `Implied` once per publish, and asks it against the

@@ -25,12 +25,15 @@ each action to its first message: the parsed payload sent by the client to
 its home broker.
 
 `run` executes the script with logical time only: each action's message
-cascade runs to quiescence before the next action starts, breadth-first by
-hop with ties broken by destination then source id, so reports are
-byte-reproducible.  `verify` compares the run's deliveries against a
-centralized matcher that ignores topology; a deficit explainable only by
-mapping-dependent subscriptions (which relation-based forwarding cannot
-anticipate) is reported as MAPPING_GAP rather than FAIL.
+cascade runs to quiescence before the next action starts.  Within a
+cascade, order changes no report: the overlay is a tree and every handler
+forwards away from the sender, so a cascade reaches each broker at most
+once, brokers share no mutable state, and what they keep on shared entities
+depends only on the entity and the knowledge base.  `verify` compares the
+run's deliveries against a centralized matcher that ignores topology; a
+deficit explainable only by mapping-dependent subscriptions (which
+relation-based forwarding cannot anticipate) is reported as MAPPING_GAP
+rather than FAIL.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ from .semantic import (
     augmented_implied,
     normalize_subscription,
     sem_admits,
-    sem_match,
     subscription_attributes,
 )
 from .syntactic import all_implied
-# Nothing here calls `match_event`; `bench/tracing.py` patches it by name.
+# Nothing here calls `sem_match` or `match_event`; `bench/tracing.py`
+# patches them by name.
+from .semantic import sem_match  # noqa: F401
 from .syntactic import match_event  # noqa: F401
 
 
@@ -343,19 +347,16 @@ def load_scenario(
     )
 
 
-# Each message kind's rank in the order of the kinds' names, which breaks
-# ties between messages with the same destination and source.
-_KIND_RANK = {
-    kind: rank for rank, kind in enumerate(sorted(MessageKind, key=lambda k: k.value))
-}
-
-
 def run(
     scenario: Scenario,
     covering_suppression: bool = True,
     advertisement_gating: bool = True,
 ) -> SimReport:
-    """Execute the script and collect deliveries and per-link traffic."""
+    """Execute the script and collect deliveries and per-link traffic.
+
+    Each action's cascade is one last-in, first-out worklist, whose order is
+    free only because the overlay is a tree (see the module docstring).
+    """
     homed: dict[str, list[str]] = {b: [] for b in scenario.brokers}
     for cid in sorted(scenario.clients):
         homed[scenario.clients[cid]].append(cid)
@@ -375,21 +376,15 @@ def run(
     deliveries: set[tuple[str, int]] = set()
 
     for first in scenario.script:
-        traffic[first.kind, first.frm, first.to] += 1
-        frontier = [first]
-        while frontier:
-            next_frontier: list[Message] = []
-            if len(frontier) > 1:
-                frontier.sort(key=lambda m: (m.to, m.frm, _KIND_RANK[m.kind]))
-            for msg in frontier:
-                if msg.kind is MessageKind.NOTIFY:
-                    deliveries.add((msg.to, msg.index))
-                    continue
+        pending = [first]
+        while pending:
+            msg = pending.pop()
+            traffic[msg.kind, msg.frm, msg.to] += 1
+            if msg.kind is MessageKind.NOTIFY:
+                deliveries.add((msg.to, msg.index))
+            else:
                 _, out = handle_message(states[msg.to], msg)
-                for o in out:
-                    traffic[o.kind, o.frm, o.to] += 1
-                next_frontier.extend(out)
-            frontier = next_frontier
+                pending.extend(out)
 
     counts: dict[str, Counter] = {kind.value: Counter() for kind in MessageKind}
     for (kind, frm, to), n in traffic.items():
@@ -442,33 +437,37 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
 
 
 def _mapping_explains(
-    scenario: Scenario, client: str, index: int
+    scenario: Scenario, missing: tuple[tuple[str, int], ...]
 ) -> bool:
-    """True iff the missed delivery hinges entirely on mapping functions.
+    """True iff every missed delivery hinges entirely on mapping functions.
 
-    Every subscription of the client that matches the event must stop
-    matching once mappings are removed; then no relation-driven forwarding
-    decision could have routed the event, which is the documented blind spot
-    rather than a routing defect.  Syntactic mode, which has no mappings,
-    never explains one.
+    A miss is a delivery the oracle expects, so an earlier subscription of
+    the client matches the event with the mappings, whose outputs only add
+    values.  So a miss hinges on mappings iff no earlier subscription of the
+    client matches the event over the knowledge base without its mappings:
+    then no relation-driven forwarding decision could have routed it, which
+    is the documented blind spot rather than a routing defect.  Matching is
+    the oracle's, so `sem_match`'s memo is neither read nor filled.
+    Syntactic mode, which has no mappings, explains no miss.
     """
     kb = relation_knowledge(scenario.mode, scenario.kb)
     if not kb.mappings:
         return False
     bare = kb.without_mappings()
-    event = None
-    active: list[Subscription] = []
-    for action in scenario.script:
-        if action.kind is MessageKind.SUBSCRIBE and action.frm == client:
-            active.append(action.payload)
-        elif action.kind is MessageKind.PUBLISH and action.index == index:
-            event = action.payload
-            break
-    assert event is not None
-    matching = [s for s in active if sem_match(event, s, kb)]
-    return bool(matching) and all(
-        not sem_match(event, s, bare) for s in matching
-    )
+    for client, index in missing:
+        subscribed: list[Subscription] = []
+        for action in scenario.script:
+            if action.kind is MessageKind.SUBSCRIBE and action.frm == client:
+                subscribed.append(action.payload)
+            elif action.kind is MessageKind.PUBLISH and action.index == index:
+                implied = augmented_implied(action.payload, bare)
+                break
+        if any(
+            all_implied(normalize_subscription(sub, bare).predicates, implied)
+            for sub in subscribed
+        ):
+            return False
+    return True
 
 
 def verify(scenario: Scenario) -> SimReport:
@@ -480,9 +479,7 @@ def verify(scenario: Scenario) -> SimReport:
     spurious = tuple(sorted(got - expected))
     if not missing and not spurious:
         verdict = Verdict.PASS
-    elif not spurious and all(
-        _mapping_explains(scenario, client, index) for client, index in missing
-    ):
+    elif not spurious and _mapping_explains(scenario, missing):
         verdict = Verdict.MAPPING_GAP
     else:
         verdict = Verdict.FAIL
@@ -500,11 +497,12 @@ def random_scenario_document(seed: int) -> dict:
     The generator keeps every scenario inside the completeness envelope of
     the routing design: all advertisements precede subscriptions and
     publishes (stored subscriptions are not re-forwarded when a new
-    advertisement arrives), advertisements admit every event their client
-    later publishes, and inequality predicates use integers only (an
-    inequality over a synonym of the compared term can be satisfied
-    syntactically yet fail after normalization, which would put the two
-    modes' delivery sets out of the documented containment order).
+    advertisement arrives), and advertisements admit every event their
+    client later publishes.  Inequality predicates use integers only, which
+    routing does not need: an inequality over a synonym of the compared
+    term can be satisfied syntactically yet fail after normalization, and
+    integers alone keep the two modes' delivery sets in the containment
+    order that `test_syntactic_deliveries_contained_in_semantic` checks.
     """
     rng = random.Random(seed)
 

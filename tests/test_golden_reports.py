@@ -36,7 +36,7 @@ def _scenario_files() -> list[Path]:
     )
 
 
-def _load(case: str) -> Scenario:
+def load_case(case: str) -> Scenario:
     source, mode = case.split(":")
     if source.startswith("seed-"):
         scenario = generate_scenario(int(source[len("seed-"):]))
@@ -52,7 +52,7 @@ def cases() -> list[str]:
 
 
 def digest(case: str) -> str:
-    return hashlib.sha256(verify(_load(case)).to_json().encode()).hexdigest()
+    return hashlib.sha256(verify(load_case(case)).to_json().encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -70,9 +70,6 @@ class TestExampleDocument:
         assert stripped.root_term("car") == "vehicle"
         assert stripped.ancestors("encyclopedia") == ("book", "printed material")
 
-    def test_without_mappings_is_built_once(self, example_kb):
-        assert example_kb.without_mappings() is example_kb.without_mappings()
-
 
 def doc(**overrides) -> dict:
     base = {

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 import semroute.routing
+import semroute.sim
 from semroute.knowledge import KnowledgeBase
 from semroute.routing import MessageKind
 from semroute.semantic import sem_match
@@ -18,6 +20,9 @@ from semroute.sim import (
     run,
     verify,
 )
+
+from .test_golden_reports import cases as golden_cases
+from .test_golden_reports import load_case as load_golden_case
 
 
 def minimal_doc(**overrides) -> dict:
@@ -340,17 +345,48 @@ class TestProfessorScenarios:
         assert report.spurious == ()
         assert report.deliveries == ()
 
-    def test_repeated_verify_adds_no_match_cache_entries(self, scenario_dir):
-        # The mapping-free knowledge base that grades the gap is built once,
-        # so a second verify finds every sem_match key already cached.
+    def test_verify_neither_reads_nor_fills_the_match_memo(self, scenario_dir):
+        # Grading the gap needs matching with and without the mappings; the
+        # memo holds the with-mappings answer beforehand, so a verify that
+        # asked `sem_match` would count a hit.
         scenario = load_scenario(
             (scenario_dir / "professor_remote.json").read_bytes(),
             base_dir=scenario_dir,
         )
-        verify(scenario)
-        entries = sem_match.cache_info().currsize
-        assert verify(scenario).verdict == Verdict.MAPPING_GAP.value
-        assert sem_match.cache_info().currsize == entries
+        _, sub, event = (action.payload for action in scenario.script)
+        assert sem_match(event, sub, scenario.kb)
+        before = sem_match.cache_info()
+        for _ in range(2):
+            assert verify(scenario).verdict == Verdict.MAPPING_GAP.value
+            assert sem_match.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "position, payload, verdict",
+        [
+            # Made before the advertisement, so never forwarded: a stale
+            # subscription, which matches without mappings.
+            (0, '(degree = "phd")', Verdict.FAIL),
+            # Also stale, but it matches nothing, so only the mapping-
+            # dependent subscription was due the event.
+            (0, '(degree = "msc")', Verdict.MAPPING_GAP),
+            # Made after the publication, so it was due nothing.
+            (3, '(degree = "phd")', Verdict.MAPPING_GAP),
+        ],
+    )
+    def test_another_subscription_of_the_client_decides_the_gap(
+        self, scenario_dir, position, payload, verdict
+    ):
+        doc = json.loads((scenario_dir / "professor_remote.json").read_text())
+        doc["knowledge"] = json.loads(
+            (scenario_dir / "knowledge_base.json").read_text()
+        )
+        doc["script"].insert(
+            position, {"action": "subscribe", "client": "profx", "payload": payload}
+        )
+        report = verify(load_scenario(doc))
+        assert report.verdict == verdict.value
+        assert report.missing == (("profx", 0),)
+        assert report.deliveries == ()
 
 
 class TestDeliverySemantics:
@@ -578,6 +614,28 @@ class TestTrafficKnobs:
 
 
 class TestDeterminism:
+    def test_reports_do_not_depend_on_the_order_within_a_cascade(
+        self, monkeypatch
+    ):
+        # Every golden case again, with each broker's outgoing messages
+        # shuffled before `run` queues them.
+        expected = {case: verify(load_golden_case(case)) for case in golden_cases()}
+        rng = random.Random(0)
+        handle_message = semroute.sim.handle_message
+
+        def shuffled(state, msg):
+            state, out = handle_message(state, msg)
+            out = list(out)
+            rng.shuffle(out)
+            return state, out
+
+        monkeypatch.setattr(semroute.sim, "handle_message", shuffled)
+        for case, report in expected.items():
+            again = verify(load_golden_case(case))
+            assert again.to_json() == report.to_json(), case
+            assert again.publish_tests == report.publish_tests, case
+            assert again.matched_links == report.matched_links, case
+
     def test_reports_are_byte_identical(self):
         for seed in (2, 13):
             scenario = generate_scenario(seed)
