@@ -32,11 +32,20 @@ YEARS_SINCE computes reference_year - x.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .model import INT_MAX, INT_MIN, Pair, Predicate, RelOp, Value, excerpt
+from .model import (
+    INT_MAX,
+    INT_MIN,
+    Pair,
+    Predicate,
+    RelOp,
+    Value,
+    excerpt,
+    list_field,
+    read_document,
+)
 
 
 class KnowledgeError(ValueError):
@@ -313,35 +322,13 @@ def _parse_body(raw: object, where: str) -> MappingBody:
     raise KnowledgeError(f"{where}: unknown mapping body kind {excerpt(kind)}")
 
 
-def _list_field(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise KnowledgeError(f"{key} must be a list")
-    return value
-
-
 def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     """Parse, validate, and freeze a knowledge document."""
-    if isinstance(document, (bytes, str)):
-        try:
-            data = json.loads(document)
-        # ValueError also covers bytes that are not UTF-8 and integers too
-        # long to convert; RecursionError, nesting deeper than the decoder
-        # can recurse.
-        except (ValueError, RecursionError) as err:
-            raise KnowledgeError(f"invalid JSON: {err}") from None
-    else:
-        data = document
-    if not isinstance(data, dict):
-        raise KnowledgeError("knowledge document must be a JSON object")
-
     known = {"synonyms", "hierarchy", "mappings", "reference_year"}
-    unknown = set(data) - known
-    if unknown:
-        raise KnowledgeError(f"unknown keys: {excerpt(sorted(unknown))}")
+    data = read_document(document, KnowledgeError, "knowledge document", known)
 
     groups = []
-    for i, raw in enumerate(_list_field(data, "synonyms")):
+    for i, raw in enumerate(list_field(data, "synonyms", KnowledgeError)):
         where = f"synonyms[{i}]"
         if not isinstance(raw, dict) or "root" not in raw or "members" not in raw:
             raise KnowledgeError(f"{where}: need root and members")
@@ -357,7 +344,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         groups.append(SynonymGroup(root, frozenset(members)))
 
     edges = []
-    for i, raw in enumerate(_list_field(data, "hierarchy")):
+    for i, raw in enumerate(list_field(data, "hierarchy", KnowledgeError)):
         where = f"hierarchy[{i}]"
         if not isinstance(raw, dict) or "child" not in raw or "parent" not in raw:
             raise KnowledgeError(f"{where}: need child and parent")
@@ -366,7 +353,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         edges.append((child, parent))
 
     mappings = []
-    for i, raw in enumerate(_list_field(data, "mappings")):
+    for i, raw in enumerate(list_field(data, "mappings", KnowledgeError)):
         where = f"mappings[{i}]"
         if not isinstance(raw, dict):
             raise KnowledgeError(f"{where}: must be an object")

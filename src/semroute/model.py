@@ -17,14 +17,20 @@ Text grammar (whitespace insignificant outside quotes):
 Attribute names and string values are canonicalized to lowercase at parse
 time.  Integers are exact signed 64-bit; there is no floating point.
 Ordering operators apply to integer values only.
+
+Entities compare and hash by their fields; what is derived from them (the
+cached properties, `kept`) stays outside those, and is rebuilt on first use
+after unpickling.  `split_by_operator` is the one operator split that every
+summary of a predicate set reads.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import re
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar, Union
 
@@ -56,24 +62,39 @@ def excerpt(raw: object) -> str:
     return text[: _EXCERPT_LIMIT - 3] + "..."
 
 
+def read_document(
+    document: Union[bytes, str, dict], error: type[ValueError], noun: str, known: set
+) -> dict:
+    """The loader's JSON object, decoded if need be; `error` when it is not
+    one (naming the `noun`) or holds a key outside `known`."""
+    if isinstance(document, (bytes, str)):
+        try:
+            data = json.loads(document)
+        # ValueError also covers bytes that are not UTF-8 and integers too
+        # long to convert; RecursionError, nesting deeper than the decoder
+        # can recurse.
+        except (ValueError, RecursionError) as err:
+            raise error(f"invalid JSON: {err}") from None
+    else:
+        data = document
+    if not isinstance(data, dict):
+        raise error(f"{noun} must be a JSON object")
+    unknown = set(data) - known
+    if unknown:
+        raise error(f"unknown keys: {excerpt(sorted(unknown))}")
+    return data
+
+
+def list_field(data: dict, key: str, error: type[ValueError]) -> list:
+    """`data[key]`, an empty list when absent; `error` when it is no list."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise error(f"{key} must be a list")
+    return value
+
+
 _T = TypeVar("_T")
 _K = TypeVar("_K")
-
-
-def _pickled_as_fields(cls: type[_T]) -> type[_T]:
-    """Pickle an entity as exactly its dataclass fields.
-
-    What `kept` and the cached properties hold on an instance is rebuilt on
-    first use; pickled, it would only weigh the state down (and carry a
-    knowledge base along).
-    """
-    names = tuple(f.name for f in fields(cls))
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in names}
-
-    cls.__getstate__ = __getstate__
-    return cls
 
 
 def kept(entity: Any, name: str, key: _K, build: Callable[[Any, _K], _T]) -> _T:
@@ -82,9 +103,8 @@ def kept(entity: Any, name: str, key: _K, build: Callable[[Any, _K], _T]) -> _T:
     Routing and the relations keep here what they derive from an entity (a
     normal form, a per-attribute summary, an attribute set) the way the
     cached properties keep theirs: as an instance attribute, outside the
-    compared fields and the pickled state.  `key` is the hierarchy or
-    knowledge base it is built under; asked under another one, it is
-    rebuilt, and only the last is kept.
+    compared fields.  `key` is the knowledge base it is built under; asked
+    under another one (by identity), it is rebuilt; only the last is kept.
     """
     held = getattr(entity, name, None)
     if held is None or held[0] is not key:
@@ -193,7 +213,6 @@ class Pair(NamedTuple):
     value: Value
 
 
-@_pickled_as_fields
 @dataclass(frozen=True)
 class Predicate:
     attribute: str
@@ -218,7 +237,29 @@ class Predicate:
         raise ValueError(f"no interval for operator {self.op.value!r}")
 
 
-@_pickled_as_fields
+def split_by_operator(
+    preds: Iterable[Predicate],
+) -> tuple[list[Value], list[Value], list[int], list[int]]:
+    """The predicates' `=` values, `!=` values, and lower and upper bounds,
+    closed as `Predicate.interval` closes them; each in predicate order."""
+    equal: list[Value] = []
+    unequal: list[Value] = []
+    lows: list[int] = []
+    highs: list[int] = []
+    for p in preds:
+        if p.op is RelOp.EQ:
+            equal.append(p.value)
+        elif p.op is RelOp.NE:
+            unequal.append(p.value)
+        else:
+            lo, hi = p.interval
+            if hi is None:
+                lows.append(lo)
+            else:
+                highs.append(hi)
+    return equal, unequal, lows, highs
+
+
 @dataclass(frozen=True)
 class Event:
     """An ordered list of attribute-value pairs.
@@ -228,11 +269,6 @@ class Event:
     """
 
     pairs: tuple[Pair, ...]
-
-    @cached_property
-    def by_attribute(self) -> dict[str, list[Value]]:
-        """The event's values keyed by attribute, built on first use and kept."""
-        return group_by_attribute((p.attribute, p.value) for p in self.pairs)
 
 
 class Row(NamedTuple):
@@ -249,7 +285,6 @@ class Row(NamedTuple):
     hi: int | None
 
 
-@_pickled_as_fields
 @dataclass(frozen=True)
 class Subscription:
     """A conjunction of predicates; the id is an opaque routing token."""
@@ -261,30 +296,15 @@ class Subscription:
     def requirement(self) -> tuple[Row, ...]:
         """One `Row` per attribute, in the order the attributes first
         appear; built on first use and kept."""
-        rows: dict[str, tuple[list[Value], list[Value], list[int | None]]] = {}
-        for p in self.predicates:
-            row = rows.get(p.attribute)
-            if row is None:
-                row = rows[p.attribute] = ([], [], [None, None])
-            if p.op is RelOp.EQ:
-                row[0].append(p.value)
-            elif p.op is RelOp.NE:
-                row[1].append(p.value)
-            else:
-                bounds = row[2]
-                lo, hi = p.interval
-                if hi is None:
-                    if bounds[0] is None or lo > bounds[0]:
-                        bounds[0] = lo
-                elif bounds[1] is None or hi < bounds[1]:
-                    bounds[1] = hi
-        return tuple(
-            Row(attribute, tuple(equal), tuple(unequal), lo, hi)
-            for attribute, (equal, unequal, (lo, hi)) in rows.items()
-        )
+        grouped = group_by_attribute((p.attribute, p) for p in self.predicates)
+        rows = []
+        for attribute, preds in grouped.items():
+            equal, unequal, lows, highs = split_by_operator(preds)
+            lo, hi = max(lows, default=None), min(highs, default=None)
+            rows.append(Row(attribute, tuple(equal), tuple(unequal), lo, hi))
+        return tuple(rows)
 
 
-@_pickled_as_fields
 @dataclass(frozen=True)
 class Advertisement:
     """A disjunctive predicate set announcing future publications."""

@@ -58,8 +58,7 @@ from .semantic import (
 from .syntactic import covers, intersects, requirement_met
 # Nothing here calls `sem_match` or `match_event`; `bench/tracing.py`
 # patches them by name.
-from .semantic import sem_match  # noqa: F401
-from .syntactic import match_event  # noqa: F401
+from .semantic import match_event, sem_match  # noqa: F401
 
 
 class RoutingError(ValueError):

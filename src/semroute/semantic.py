@@ -37,12 +37,13 @@ attribute in one pass, with the provenance of each added value;
 `--explain` prints the added values and takes each predicate's witness from
 the values at its attribute.  A predicate holds for some value at its
 attribute iff some `(a = v)` implies it, so `sem_match` asks `all_implied`,
-the covering kernel, as `match_event` does.  Routing asks the same of each
-table entry's normal form against the event's kept summary, through the
-normal form's requirement rows (`syntactic.requirement_met`) and without
-`sem_match`, so `sem_match`'s memo, the only module-level cache, is off
-routing's path, as it is off the oracle's and the mapping-gap check's in
-`sim`: only the CLI and the tests fill it.
+the covering kernel; `match_event` is `sem_match` over the empty knowledge
+base, asked past the memo.  Routing asks the same of each table entry's
+normal form against the event's kept summary, through the normal form's
+requirement rows (`syntactic.requirement_met`) and without `sem_match`, so
+`sem_match`'s memo, the only module-level cache, is off routing's path, as
+it is off the oracle's and the mapping-gap check's in `sim`: only the CLI
+and the tests fill it.
 Publish admission (`sem_admits`, and `sem_determines` for one
 advertisement) summarises each event pair's value chain, the value and its
 ancestor terms, as one `Implied` once per publish, and asks it against the
@@ -240,6 +241,12 @@ def event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
     return all_implied(normalized(sub, kb).predicates, event_implied(event, kb))
+
+
+def match_event(event: Event, sub: Subscription) -> bool:
+    """`sem_match` over the empty knowledge base, past its memo: every
+    predicate of sub is matched by some pair of event, names literal."""
+    return sem_match.__wrapped__(event, sub, KnowledgeBase.empty())
 
 
 def _pair_chains(

@@ -52,9 +52,11 @@ from .model import (
     ParseError,
     Subscription,
     excerpt,
+    list_field,
     parse_advertisement,
     parse_event,
     parse_subscription,
+    read_document,
 )
 from .routing import BrokerState, Message, MessageKind, handle_message
 from .semantic import (
@@ -66,8 +68,7 @@ from .semantic import (
 from .syntactic import all_implied
 # Nothing here calls `sem_match` or `match_event`; `bench/tracing.py`
 # patches them by name.
-from .semantic import sem_match  # noqa: F401
-from .syntactic import match_event  # noqa: F401
+from .semantic import match_event, sem_match  # noqa: F401
 
 
 class ScenarioError(ValueError):
@@ -172,12 +173,6 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _list_field(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    _require(isinstance(value, list), f"{key} must be a list")
-    return value
-
-
 def _name(raw: object, what: str) -> str:
     if isinstance(raw, str) and raw:
         return raw
@@ -218,27 +213,16 @@ def load_scenario(
     `base_dir` anchors a relative knowledge path; inline knowledge objects
     need no anchor.
     """
-    if isinstance(document, (bytes, str)):
-        try:
-            data = json.loads(document)
-        # ValueError also covers bytes that are not UTF-8 and integers too
-        # long to convert; RecursionError, nesting deeper than the decoder
-        # can recurse.
-        except (ValueError, RecursionError) as err:
-            raise ScenarioError(f"invalid JSON: {err}") from None
-    else:
-        data = document
-    _require(isinstance(data, dict), "scenario must be a JSON object")
     known = {"brokers", "edges", "clients", "knowledge", "mode", "seed", "script"}
-    unknown = set(data) - known
-    if unknown:
-        raise ScenarioError(f"unknown keys: {excerpt(sorted(unknown))}")
+    data = read_document(document, ScenarioError, "scenario", known)
 
-    brokers = tuple(_name(b, "broker id") for b in _list_field(data, "brokers"))
+    brokers = tuple(
+        _name(b, "broker id") for b in list_field(data, "brokers", ScenarioError)
+    )
     _require(len(brokers) > 0, "at least one broker required")
     _require(len(set(brokers)) == len(brokers), "duplicate broker id")
 
-    raw_edges = _list_field(data, "edges")
+    raw_edges = list_field(data, "edges", ScenarioError)
     _require(
         all(isinstance(e, list) and len(e) == 2 for e in raw_edges),
         "edges must be pairs",
@@ -248,7 +232,7 @@ def load_scenario(
     )
 
     clients: dict[str, str] = {}
-    for i, raw in enumerate(_list_field(data, "clients")):
+    for i, raw in enumerate(list_field(data, "clients", ScenarioError)):
         _require(
             isinstance(raw, dict) and "id" in raw and "broker" in raw,
             "clients need id and broker",
@@ -304,7 +288,7 @@ def load_scenario(
     script: list[Message] = []
     publish_count = 0
     advertised: dict[str, list[Advertisement]] = {c: [] for c in clients}
-    for i, raw in enumerate(_list_field(data, "script")):
+    for i, raw in enumerate(list_field(data, "script", ScenarioError)):
         where = f"script[{i}]"
         _require(
             isinstance(raw, dict)

@@ -1,15 +1,16 @@
-"""Matching relations over events, subscriptions, advertisements.
+"""Relation kernel over events, subscriptions, advertisements.
 
 `covers` and `intersects` are the relation kernel of both modes.  Each takes
 a `KnowledgeBase`, by default the one `KnowledgeBase.empty()`, under which
 names compare literally and no term has a relative, and assumes input in
 its root form, which every entity is under the empty one; `semantic`
-normalizes first.  `match_event` compares names literally.
+normalizes first.  Event matching is `semantic.sem_match`, and over the
+empty knowledge base `semantic.match_event`.
 
 The operator rules live here once, lifted through a knowledge base's
 hierarchy: `Implied` says which predicates a set of predicates implies, and
 `Gate` which it admits, each against a per-attribute summary of many
-predicates.
+predicates, split by `model.split_by_operator`.
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
@@ -24,20 +25,17 @@ Each relation keeps a summary of the side it quantifies over on that
 entity (`model.kept`, under the knowledge base asked), built on first use,
 so a test makes a few lookups per predicate instead of a scan of the other
 side: `covers` keeps an `Implied` per attribute of the covered subscription
-and its ancestors, `intersects` a `Gate` per subscription attribute asked
-of the advertisement, and `match_event` an `Implied` per attribute of the
-event over one `(a = v)` predicate per value, since a predicate holds for
-some value there iff one of those implies it.
+and its ancestors, and `intersects` a `Gate` per subscription attribute
+asked of the advertisement.  Nothing here keeps anything on an event.
 
 The side that must be implied is a subscription, compiled once into one
 requirement row per attribute (`Subscription.requirement`: its `=` and
 `!=` values and its tightest bounds), and `requirement_met` asks the rows
 of a summary with one check per attribute.  `covers` asks the covering
 subscription's rows of the covered one's summary, and routing asks each
-table entry's rows of the event's summary.  `match_event`, like
-`semantic.sem_match` and the simulator's oracle, asks the predicates one
-by one (`all_implied`), so these references grade the rows rather than
-share them.
+table entry's rows of the event's summary.  `semantic.sem_match` and the
+simulator's oracle ask the predicates one by one (`all_implied`), so these
+references grade the rows rather than share them.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from typing import Iterable, Mapping, Optional
 from .knowledge import KnowledgeBase
 from .model import (
     Advertisement,
-    Event,
     Predicate,
     RelOp,
     Row,
@@ -56,6 +53,7 @@ from .model import (
     ValueKind,
     group_by_attribute,
     kept,
+    split_by_operator,
 )
 
 
@@ -63,19 +61,6 @@ from .model import (
 # compare literally, and no hierarchy edges.
 _EMPTY = KnowledgeBase.empty()
 _NONE: frozenset = frozenset()
-
-
-def _event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
-    return implied_by_values(event.by_attribute)
-
-
-def match_event(event: Event, sub: Subscription) -> bool:
-    """True iff every predicate of sub is matched by some pair of event.
-
-    The event's values are summarised per attribute once (`Implied`), so
-    each predicate costs a lookup.
-    """
-    return all_implied(sub.predicates, kept(event, "_implied", _EMPTY, _event_implied))
 
 
 def _holds_other(values: frozenset[Value], v: Value) -> bool:
@@ -111,30 +96,14 @@ class Implied:
     __slots__ = ("values", "above", "excluded", "floor", "ceil")
 
     def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
-        values: set[Value] = set()
-        excluded: set[Value] = set()
-        lows: list[int] = []
-        highs: list[int] = []
-        for p in preds:
-            if p.op is RelOp.EQ:
-                values.add(p.value)
-                if p.value.is_int:
-                    lows.append(p.value.data)
-                    highs.append(p.value.data)
-            elif p.op is RelOp.NE:
-                excluded.add(p.value)
-            else:
-                lo, hi = p.interval
-                if hi is None:
-                    lows.append(lo)
-                else:
-                    highs.append(hi)
-        self.values = frozenset(values) if values else _NONE
-        above = [kb.ancestors(v.data) for v in values if v.is_string]
+        equal, unequal, lows, highs = split_by_operator(preds)
+        ints = [v.data for v in equal if v.is_int]
+        self.values = frozenset(equal) if equal else _NONE
+        above = [kb.ancestors(v.data) for v in equal if v.is_string]
         self.above = frozenset().union(*above) if any(above) else _NONE
-        self.excluded = frozenset(excluded) if excluded else _NONE
-        self.floor: Optional[int] = max(lows, default=None)
-        self.ceil: Optional[int] = min(highs, default=None)
+        self.excluded = frozenset(unequal) if unequal else _NONE
+        self.floor: Optional[int] = max(lows + ints, default=None)
+        self.ceil: Optional[int] = min(highs + ints, default=None)
 
     @classmethod
     def of_values(cls, values: Iterable[Value]) -> "Implied":
@@ -302,21 +271,9 @@ class Gate:
     __slots__ = ("values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
 
     def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
-        self.values: set[Value] = set()
-        self.excluded: set[Value] = set()
-        lows: list[int] = []
-        highs: list[int] = []
-        for p in preds:
-            if p.op is RelOp.EQ:
-                self.values.add(p.value)
-            elif p.op is RelOp.NE:
-                self.excluded.add(p.value)
-            else:
-                lo, hi = p.interval
-                if hi is None:
-                    lows.append(lo)
-                else:
-                    highs.append(hi)
+        equal, unequal, lows, highs = split_by_operator(preds)
+        self.values: set[Value] = set(equal)
+        self.excluded: set[Value] = set(unequal)
         self.terms = {v.data for v in self.values if v.is_string}
         self.up = self.terms.union(*(kb.ancestors(t) for t in self.terms))
         ints = [v.data for v in self.values if v.is_int]

@@ -16,7 +16,15 @@ from semroute.knowledge import (
     apply_mapping,
     load_knowledge,
 )
-from semroute.model import INT_MAX, Pair, Predicate, RelOp, Value, parse_event
+from semroute.model import (
+    INT_MAX,
+    Pair,
+    Predicate,
+    RelOp,
+    Value,
+    group_by_attribute,
+    parse_event,
+)
 
 from .conftest import make_forest_kb
 
@@ -107,7 +115,7 @@ class TestLoaderValidation:
             load_knowledge(raw)
 
     def test_non_object_document(self):
-        with pytest.raises(KnowledgeError):
+        with pytest.raises(KnowledgeError, match="knowledge document must be a JSON object"):
             load_knowledge(b"[1, 2]")
 
     def test_unknown_keys_rejected(self):
@@ -396,29 +404,33 @@ def years_since_f1(example_kb) -> MappingFunction:
     return f1
 
 
+def _values(event):
+    return group_by_attribute((p.attribute, p.value) for p in event.pairs)
+
+
 class TestApplyMapping:
     def test_years_since(self, example_kb):
         event = parse_event(
             '{(university, "y"), ("work experience", true), ("graduation date", 1990)}'
         )
-        out = apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003)
+        out = apply_mapping(years_since_f1(example_kb), _values(event), 2003)
         assert out == Pair("professional experience", Value.integer(13))
 
     def test_missing_input_yields_nothing(self, example_kb):
         event = parse_event('{("work experience", true)}')
-        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
 
     def test_failing_guard_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", false), ("graduation date", 1990)}'
         )
-        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
 
     def test_non_integer_source_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", true), ("graduation date", "unknown")}'
         )
-        assert apply_mapping(years_since_f1(example_kb), event.by_attribute, 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
 
     def test_first_occurrence_is_bound(self, example_kb):
         values = {

@@ -34,6 +34,7 @@ from semroute.semantic import (
     attribute_reach,
     augment,
     event_implied,
+    match_event,
     normalize_advertisement,
     normalize_event,
     normalize_subscription,
@@ -45,7 +46,7 @@ from semroute.semantic import (
     subscription_attributes,
 )
 from semroute.sim import load_scenario, oracle_deliveries, run
-from semroute.syntactic import covers, intersects, match_event
+from semroute.syntactic import covers, intersects
 
 from .bruteforce import (
     covering_counterexample,
@@ -215,8 +216,9 @@ class TestAugment:
             Value.string("stone age"),
             Value.string("reptiles"),
         ]
+        base_values = group_by_attribute((p.attribute, p.value) for p in event.pairs)
         for attribute, held in augmented.values.items():
-            base = list(dict.fromkeys(event.by_attribute.get(attribute, ())))
+            base = list(dict.fromkeys(base_values.get(attribute, ())))
             provenances = list(held.values())
             assert list(held)[: len(base)] == base
             assert provenances[: len(base)] == [None] * len(base)
@@ -488,6 +490,15 @@ class TestMatchByImplication:
         expected = _scan(event.pairs, sub)
         assert match_event(event, sub) == expected
         assert sem_match.__wrapped__(event, sub, KnowledgeBase.empty()) == expected
+
+    def test_match_event_leaves_the_memo_alone(self):
+        event = parse_event('{(a, 1), (b, "x")}')
+        texts = ("(a = 1)", "(a != 1)", '(b = "x") AND (a >= 0)')
+        subs = [parse_subscription(text) for text in texts]
+        before = sem_match.cache_info()
+        results = [match_event(event, sub) for sub in subs + subs]
+        assert results == [True, False, True] * 2
+        assert sem_match.cache_info() == before
 
     def test_inequality_against_one_and_several_values(self):
         one = parse_event("{(a, 1)}")
@@ -777,7 +788,9 @@ class TestRequirementRows:
         subscriptions_from(ROW_ATTRS, ROW_TERMS, max_preds=6),
     )
     def test_rows_equal_the_predicates_against_an_events_values(self, event, sub):
-        implied = syntactic.implied_by_values(event.by_attribute)
+        implied = syntactic.implied_by_values(
+            group_by_attribute((p.attribute, p.value) for p in event.pairs)
+        )
         expected = all(
             any(
                 implies(Predicate(pair.attribute, RelOp.EQ, pair.value), p)

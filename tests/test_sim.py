@@ -6,6 +6,16 @@ import pytest
 import semroute.routing
 import semroute.sim
 from semroute.knowledge import KnowledgeBase
+from semroute.model import (
+    Event,
+    Pair,
+    Predicate,
+    Value,
+    parse_advertisement,
+    parse_event,
+    parse_subscription,
+    render,
+)
 from semroute.routing import MessageKind
 from semroute.semantic import sem_match
 from semroute.sim import (
@@ -103,6 +113,10 @@ class TestLoadValidation:
         doc = minimal_doc(knowledge="kb.json")
         with pytest.raises(ScenarioError, match="bad knowledge document: invalid JSON"):
             load_scenario(doc, base_dir=tmp_path)
+
+    def test_non_object_document(self):
+        with pytest.raises(ScenarioError, match="scenario must be a JSON object"):
+            load_scenario(b"[1, 2]")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ScenarioError, match="unknown keys"):
@@ -455,6 +469,64 @@ class TestGeneratedScenarios:
             syn = oracle_deliveries(scenario.with_mode(RoutingMode.SYNTACTIC))
             sem = oracle_deliveries(scenario.with_mode(RoutingMode.SEMANTIC))
             assert syn <= sem, seed
+
+
+def _respelled(doc: dict) -> dict:
+    """The document with every attribute name and string value in its
+    payloads respelled by a cyclic permutation of each synonym group's
+    spellings, the root and then the members sorted."""
+    turn: dict[str, str] = {}
+    for group in doc["knowledge"]["synonyms"]:
+        spellings = [group["root"], *sorted(group["members"])]
+        turn.update(zip(spellings, spellings[1:] + spellings[:1]))
+
+    def term(text: str) -> str:
+        return turn.get(text, text)
+
+    def value(v: Value) -> Value:
+        return Value.string(term(v.data)) if v.is_string else v
+
+    parsers = {
+        "advertise": parse_advertisement,
+        "subscribe": parse_subscription,
+        "publish": parse_event,
+    }
+    script = []
+    for action in doc["script"]:
+        entity = parsers[action["action"]](action["payload"])
+        if isinstance(entity, Event):
+            pairs = tuple(Pair(term(p.attribute), value(p.value)) for p in entity.pairs)
+            entity = Event(pairs)
+        else:
+            entity = type(entity)(
+                tuple(
+                    Predicate(term(p.attribute), p.op, value(p.value))
+                    for p in entity.predicates
+                )
+            )
+        script.append({**action, "payload": render(entity)})
+    return {**doc, "script": script}
+
+
+class TestRespelling:
+    """Metamorphic: semantic routing reads through synonyms, so respelling
+    every payload's names and string values changes no part of the verified
+    report.  The respelling is a permutation, so no two distinct texts become
+    one, which would give them one canonical id and drop the second as a
+    duplicate."""
+
+    def test_respelled_payloads_give_the_same_report(self):
+        respelled_payloads = 0
+        for seed in range(60):
+            doc = dict(random_scenario_document(seed), mode="semantic")
+            other = _respelled(doc)
+            respelled_payloads += sum(
+                a != b for a, b in zip(doc["script"], other["script"])
+            )
+            first = verify(load_scenario(doc))
+            second = verify(load_scenario(other))
+            assert second.to_json() == first.to_json(), seed
+        assert respelled_payloads > 0
 
 
 class TestEmptyKnowledge:

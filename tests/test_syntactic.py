@@ -13,7 +13,8 @@ from semroute.model import (
     parse_event,
     parse_subscription,
 )
-from semroute.syntactic import covers, intersects, match_event
+from semroute.semantic import match_event
+from semroute.syntactic import covers, intersects
 
 from .bruteforce import (
     covering_counterexample,
