@@ -18,7 +18,10 @@ Both walks over the table read this one grouping and visit only the groups
 filed under an attribute that could pass the test at hand.  A subscribe
 tests for covering only the groups within its reach: a stored subscription
 naming an attribute that is neither one of the new subscription's nor an
-ancestor of one cannot cover it.  A publish tests only the groups whose
+ancestor of one cannot cover it.  Nor does it test the entries that
+arrived from the neighbor broker that sent it, which that broker tested
+against it moments earlier, in the same cascade, and found none covering
+(see `handle_subscribe`).  A publish tests only the groups whose
 attributes the event carries: a subscription naming an attribute at which
 the (augmented) event has no value cannot match it.  A subscription keeps
 its attribute sets (`model.kept`, under the knowledge base), so the brokers
@@ -222,6 +225,16 @@ def handle_subscribe(
     it was forwarded to a link still open, and a covering entry suppresses
     all of those links; the walk ends once a group leaves no link open.
     Which links end up suppressed does not depend on the order of the walk.
+
+    The walk skips the entries that arrived from the sender when it is a
+    neighbor broker, never when it is a client, whose other subscriptions
+    can cover this one.  Every entry held from a neighbor was forwarded
+    here by it, and that neighbor tested each one against this
+    subscription before forwarding it here, with this broker's link open,
+    and found none covering.  That rests on two facts: each SUBSCRIBE
+    cascade finishes before the next action starts, so no entry reaches
+    this broker between that test and this walk, and entries are never
+    removed; an unsubscribe must revisit the skip.
     """
     state._check_link(frm)
     if (sub.id, frm) in state.subscriptions:
@@ -236,8 +249,12 @@ def handle_subscribe(
         state.gated += len(closed)
     attributes, reach, filing = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
     if state.covering_suppression and live:
+        # A neighbor sender has tested its entries against sub already.
+        skipped = frm if frm in state.neighbors else None
         for group in state.groups_within(sorted(reach), reach):
             for e in group:
+                if e.origin == skipped:
+                    continue
                 if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
                     state.suppressed += len(live & e.forwarded_to)
                     live -= e.forwarded_to

@@ -45,9 +45,12 @@ requirement rows (`syntactic.requirement_met`) and without `sem_match`, so
 it is off the oracle's and the mapping-gap check's in `sim`: only the CLI
 and the tests fill it.
 Publish admission (`sem_admits`, and `sem_determines` for one
-advertisement) summarises each event pair's value chain, the value and its
-ancestor terms, as one `Implied` once per publish, and asks it against the
-advertised predicates at the pair's attribute and its ancestors.
+advertisement) normalizes each event pair once per publish, however many
+advertisements are asked, and asks each advertisement's normal form for
+the `syntactic.Gate` at the pair's attribute, over the advertised
+predicates there and at its ancestors (`syntactic.AdmissionGates`, kept on
+the normal form under the knowledge base), whether it admits the pair's
+value or one of its ancestor terms (`Gate.admits`).
 """
 
 from __future__ import annotations
@@ -68,7 +71,14 @@ from .model import (
     group_by_attribute,
     kept,
 )
-from .syntactic import Implied, all_implied, covers, implied_by_values, intersects
+from .syntactic import (
+    AdmissionGates,
+    Implied,
+    all_implied,
+    covers,
+    implied_by_values,
+    intersects,
+)
 
 
 class Provenance(enum.Enum):
@@ -249,33 +259,21 @@ def match_event(event: Event, sub: Subscription) -> bool:
     return sem_match.__wrapped__(event, sub, KnowledgeBase.empty())
 
 
-def _pair_chains(
-    event: Event, kb: KnowledgeBase
-) -> list[tuple[tuple[str, ...], Implied]]:
-    """For each normalized event pair, its attribute and that attribute's
-    ancestors, with the summary of its value chain."""
-    chains = []
-    for pair in event.pairs:
-        root = kb.root_term(pair.attribute)
-        chain = Implied.of_values(value_chain(normalize_value(pair.value, kb), kb))
-        chains.append(((root, *kb.ancestors(root)), chain))
-    return chains
-
-
 def sem_admits(
     advertisements: Iterable[Advertisement], event: Event, kb: KnowledgeBase
 ) -> bool:
-    """True iff some advertisement `sem_determines` the event; each pair's
-    value chain is summarised once, however many advertisements are asked."""
-    chains = _pair_chains(event, kb)
+    """True iff some advertisement `sem_determines` the event; each pair is
+    normalized once, however many advertisements are asked, and each
+    advertisement's normal form keeps its admission gates under `kb`."""
+    pairs = [
+        (kb.root_term(pair.attribute), normalize_value(pair.value, kb))
+        for pair in event.pairs
+    ]
     for adv in advertisements:
-        advertised = normalized(adv, kb).by_attribute
-        for attributes, chain in chains:
-            if not any(
-                chain.entails(pred)
-                for attribute in attributes
-                for pred in advertised.get(attribute, ())
-            ):
+        gates = kept(normalized(adv, kb), "_admission", kb, AdmissionGates)
+        for attribute, value in pairs:
+            gate = gates[attribute]
+            if gate is None or not gate.admits(value, kb):
                 break
         else:
             return True

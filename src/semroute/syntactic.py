@@ -10,7 +10,10 @@ empty knowledge base `semantic.match_event`.
 The operator rules live here once, lifted through a knowledge base's
 hierarchy: `Implied` says which predicates a set of predicates implies, and
 `Gate` which it admits, each against a per-attribute summary of many
-predicates, split by `model.split_by_operator`.
+predicates, split by `model.split_by_operator`.  A `Gate` answers two
+questions of an advertisement: which subscription predicates it meets
+(gating, `intersects`) and which event pairs it admits (publish admission,
+`semantic.sem_admits`).
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
@@ -25,8 +28,10 @@ Each relation keeps a summary of the side it quantifies over on that
 entity (`model.kept`, under the knowledge base asked), built on first use,
 so a test makes a few lookups per predicate instead of a scan of the other
 side: `covers` keeps an `Implied` per attribute of the covered subscription
-and its ancestors, and `intersects` a `Gate` per subscription attribute
-asked of the advertisement.  Nothing here keeps anything on an event.
+and its ancestors, `intersects` a `Gate` per subscription attribute asked
+of the advertisement (`_Gates`), and publish admission a `Gate` per event
+attribute asked of it (`AdmissionGates`, a `_Gates` that merges fewer
+attributes).  Nothing here keeps anything on an event.
 
 The side that must be implied is a subscription, compiled once into one
 requirement row per attribute (`Subscription.requirement`: its `=` and
@@ -40,7 +45,7 @@ references grade the rows rather than share them.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .knowledge import KnowledgeBase
 from .model import (
@@ -109,14 +114,13 @@ class Implied:
     def of_values(cls, values: Iterable[Value]) -> "Implied":
         """The summary of one `(a = v)` predicate per value v, with no value
         lifted: some value satisfies p iff this entails p.  The values are
-        an event's at one attribute (plain, or augmented, which already
-        holds the lifted values), or one pair's value chain for publish
-        admission (`semantic.sem_determines`)."""
+        an event's at one attribute, plain, or augmented, which already
+        holds the lifted values."""
         summary = cls.__new__(cls)
         summary.values = held = frozenset(values)
         summary.above = summary.excluded = _NONE
-        # Built for every event attribute and every pair publish admission
-        # asks about, so the bounds avoid `max`'s slower `default=` form.
+        # Built for every attribute of every event routed, so the bounds
+        # avoid `max`'s slower `default=` form.
         ints = [v.data for v in held if v.kind is ValueKind.INT]
         if ints:
             summary.floor, summary.ceil = max(ints), min(ints)
@@ -253,6 +257,19 @@ class Gate:
     knowledge base a relative never exists, and the table is the plain
     joint satisfiability of sp and ap on one attribute.  Each entry asks
     whether some ap exists, so gates over merged predicate sets stay exact.
+
+    `admits(v)` asks the second question, of publish admission: is a
+    normalized event pair with value v admitted, that is, does some value
+    on v's chain (v and, for a string, its ancestor terms) satisfy some
+    gate predicate ap?  `AdmissionGates` builds the gate at the pair's
+    attribute over the advertised predicates at that attribute and its
+    ancestors.  By operator of ap, with its value w:
+
+      - (= w): v == w, or w a string term that is a strict ancestor of v;
+      - (!= w): some chain value differs from w: a `!=` value other than v,
+        or any `!=` value when v has an ancestor;
+      - half-line: v an integer inside it.
+
     The summary answers each in a few lookups:
 
       - `values`: the `=` values; `terms`: the string ones; `up`: the terms
@@ -312,6 +329,23 @@ class Gate:
             return self.lo is not None or (self.top is not None and lo <= self.top)
         return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
 
+    def admits(self, v: Value, kb: KnowledgeBase) -> bool:
+        if v in self.values or _holds_other(self.excluded, v):
+            return True
+        # Asked of every pair of every publication loaded, so the kind is
+        # compared here rather than through the `is_int`/`is_string` calls.
+        kind = v.kind
+        if kind is ValueKind.INT:
+            return (self.lo is not None and self.lo <= v.data) or (
+                self.hi is not None and v.data <= self.hi
+            )
+        if kind is ValueKind.STRING:
+            above = kb.ancestors(v.data)
+            return bool(above) and (
+                bool(self.excluded) or not self.terms.isdisjoint(above)
+            )
+        return False
+
 
 class _Gates(dict):
     """An advertisement's gates under one knowledge base: at each
@@ -327,16 +361,39 @@ class _Gates(dict):
         self.predicates = adv.by_attribute
         self.kb = kb
 
+    @staticmethod
+    def merged(
+        kb: KnowledgeBase, attribute: str, advertised: Collection[str]
+    ) -> list[str]:
+        """The advertised attributes whose predicates the gate at
+        `attribute` merges: every one comparable with it."""
+        return [a for a in advertised if kb.comparable(attribute, a)]
+
     def __missing__(self, attribute: str) -> Optional[Gate]:
-        kb = self.kb
+        kb, advertised = self.kb, self.predicates
         preds = [
-            p
-            for a, held in self.predicates.items()
-            if kb.comparable(a, attribute)
-            for p in held
+            p for a in self.merged(kb, attribute, advertised) for p in advertised[a]
         ]
         gate = self[attribute] = Gate(preds, kb) if preds else None
         return gate
+
+
+class AdmissionGates(_Gates):
+    """An advertisement's gates for publish admission: at each event
+    attribute asked, the `Gate` over the predicates at that attribute and
+    its ancestors, whose `admits` decides a pair there.  A predicate at a
+    descendant admits no pair of the attribute: an event pair is lifted to
+    its attribute's ancestors, never to its descendants."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def merged(
+        kb: KnowledgeBase, attribute: str, advertised: Collection[str]
+    ) -> list[str]:
+        """The attribute and its ancestors, those advertised: each a such
+        that `kb.is_descendant_or_equal(attribute, a)`."""
+        return [a for a in (attribute, *kb.ancestors(attribute)) if a in advertised]
 
 
 def intersects(

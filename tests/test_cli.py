@@ -12,6 +12,16 @@ from semroute.cli import main
 
 from .conftest import ROOT, SCENARIOS
 
+
+def _child_env() -> dict[str, str]:
+    """The environment for a child process that imports the same semroute
+    as this process, whether it came from an install or from the source
+    tree."""
+    source = str(Path(semroute.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, inherited))))
+
+
 KB = str(SCENARIOS / "knowledge_base.json")
 
 ENCYCLOPEDIA_EVENT = '{(encyclopedia, "Stone Age"), (subject, "crocodiles")}'
@@ -494,22 +504,25 @@ class TestArgumentHandling:
         pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
         module, _, func = pyproject["project"]["scripts"]["semroute"].partition(":")
         script = f"import sys; from {module} import {func}; sys.exit({func}())"
-        # The child imports the same semroute as this process, whether it
-        # came from an install or from the source tree.
-        source = str(Path(semroute.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, inherited)))
-        )
-
         result = subprocess.run(
             [sys.executable, "-c", script, "covers", "(a = 1)", "(a = 1)"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "covers\n"
+
+    def test_module_runs_the_cli(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "semroute", "simulate", "scenarios/gap.json", "--verify"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            cwd=ROOT,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "PASS" in result.stdout
 
     @pytest.mark.skipif(
         shutil.which("semroute") is None, reason="semroute script not on PATH"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semroute.routing
+import semroute.sim
 from semroute.knowledge import KnowledgeBase, SynonymGroup, load_knowledge
 from semroute.model import (
     Subscription,
@@ -22,8 +23,8 @@ from semroute.routing import (
     handle_publish,
     handle_subscribe,
 )
-from semroute.semantic import normalized, sem_match
-from semroute.sim import load_scenario, run
+from semroute.semantic import normalized, sem_covers, sem_match
+from semroute.sim import load_scenario, random_scenario_document, run
 
 from .conftest import events_from, make_forest_kb, subscriptions_from
 
@@ -248,6 +249,43 @@ class TestSubscribeOneWalk:
         state, out = handle_subscribe(state, later, frm="c1")
         assert calls == []
         assert [m.to for m in out] == ["b1", "b3"]
+
+
+class TestEntriesFromOneNeighbor:
+    """Why `handle_subscribe` skips the entries from a neighbor sender:
+    among the entries a broker holds from one neighbor broker, no earlier
+    one covers a later one, because the neighbor tested each later one
+    against the earlier ones it had forwarded here, and would have
+    suppressed the link."""
+
+    def test_no_earlier_entry_covers_a_later_one(self, monkeypatch):
+        states = []
+
+        class Recorded(BrokerState):
+            def __post_init__(self):
+                super().__post_init__()
+                states.append(self)
+
+        monkeypatch.setattr(semroute.sim, "BrokerState", Recorded)
+        pairs = 0
+        for seed in range(60):
+            for mode in ("syntactic", "semantic"):
+                states.clear()
+                run(load_scenario(dict(random_scenario_document(seed), mode=mode)))
+                assert states, (seed, mode)
+                for state in states:
+                    held: dict[str, list[Subscription]] = {}
+                    for e in state.subscriptions.values():
+                        if e.origin in state.neighbors:
+                            held.setdefault(e.origin, []).append(e.sub)
+                    for subs in held.values():
+                        for i, later in enumerate(subs):
+                            for earlier in subs[:i]:
+                                pairs += 1
+                                assert not sem_covers(earlier, later, state.kb), (
+                                    seed, mode, state.id, earlier, later
+                                )
+        assert pairs > 1000
 
 
 class TestSubscribeAttributeGroups:

@@ -1064,17 +1064,34 @@ class TestSemDetermines:
                 ), (seed, adv, event)
 
     def test_admits_when_some_advertisement_determines(self):
-        # One value-chain summary per pair serves every advertisement asked.
+        # Each pair is normalized once and asked of every advertisement's
+        # gates.  Synonym cases spell advertisements and events with members
+        # as well as roots, so pairs reach the gates of ancestor attributes
+        # and the `!=` cases through normalization.
         admitted = 0
-        for seed in range(200):
-            rng, kb, attrs, terms = relation_case(seed + 14000)
+        for seed in range(600):
+            case = relation_case if seed % 2 else _synonym_case
+            rng, kb, attrs, terms = case(seed + 14000)
+            members = {g.root: sorted(g.members) for g in kb.synonyms}
+
+            def spelled(term: str) -> str:
+                return rng.choice([term, *members.get(term, ())])
+
             advs = [random_advertisement(rng, attrs, terms) for _ in range(rng.randint(1, 3))]
             pool = universe(kb, *advs)
-            event = Event(tuple(rng.choice(pool) for _ in range(rng.randint(1, 2))))
+            event = Event(
+                tuple(
+                    Pair(
+                        spelled(p.attribute),
+                        Value.string(spelled(p.value.data)) if p.value.is_string else p.value,
+                    )
+                    for p in (rng.choice(pool) for _ in range(rng.randint(1, 3)))
+                )
+            )
             expected = any(sem_determines_oracle(kb, event, adv) for adv in advs)
             assert sem_admits(advs, event, kb) == expected, (seed, advs, event)
             admitted += expected
-        assert 0 < admitted < 200
+        assert 40 < admitted < 300
 
 
 class TestCoveringForwardingSafety:

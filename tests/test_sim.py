@@ -529,6 +529,57 @@ class TestRespelling:
         assert respelled_payloads > 0
 
 
+def _reversed_order(ids) -> dict[str, str]:
+    """The bijection that maps the i-th smallest id to the i-th largest."""
+    ordered = sorted(ids)
+    return dict(zip(ordered, reversed(ordered)))
+
+
+def _relabeled(doc: dict, name: dict[str, str]) -> dict:
+    """The document with every broker and client id renamed by `name`."""
+    return {
+        **doc,
+        "brokers": [name[b] for b in doc["brokers"]],
+        "edges": [[name[a], name[b]] for a, b in doc["edges"]],
+        "clients": [{"id": name[c["id"]], "broker": name[c["broker"]]} for c in doc["clients"]],
+        "script": [{**action, "client": name[action["client"]]} for action in doc["script"]],
+    }
+
+
+class TestRelabeling:
+    """Metamorphic: routing reads broker and client ids only as link names,
+    so renaming them, in an order that reverses every neighbor and client
+    order, renames the verified report and changes nothing else."""
+
+    def test_relabeled_overlay_gives_the_renamed_report(self):
+        for seed in range(40):
+            for mode in ("syntactic", "semantic"):
+                doc = dict(random_scenario_document(seed), mode=mode)
+                name = _reversed_order(doc["brokers"])
+                name.update(_reversed_order(c["id"] for c in doc["clients"]))
+                first = verify(load_scenario(doc))
+                second = verify(load_scenario(_relabeled(doc, name)))
+
+                def renamed(deliveries):
+                    return tuple(sorted((name[c], i) for c, i in deliveries))
+
+                def link(key: str) -> str:
+                    frm, to = key.split("->")
+                    return f"{name[frm]}->{name[to]}"
+
+                case = (seed, mode)
+                assert second.deliveries == renamed(first.deliveries), case
+                assert second.missing == renamed(first.missing), case
+                assert second.spurious == renamed(first.spurious), case
+                assert second.verdict == first.verdict, case
+                assert second.suppressed_subscriptions == first.suppressed_subscriptions, case
+                assert second.gated_subscriptions == first.gated_subscriptions, case
+                assert second.counts == {
+                    kind: {link(k): n for k, n in links.items()}
+                    for kind, links in first.counts.items()
+                }, case
+
+
 class TestEmptyKnowledge:
     """A knowledge base with no synonyms, hierarchy or mappings selects the
     syntactic relations, in semantic mode too."""
