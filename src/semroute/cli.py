@@ -57,59 +57,6 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
-def _add_relation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--knowledge", metavar="PATH", help="knowledge JSON file")
-    parser.add_argument(
-        "--mode",
-        choices=["syntactic", "semantic"],
-        default="syntactic",
-        help="relation set to apply (default: syntactic)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semroute",
-        description="Content-based publish/subscribe matching and simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("match", help="match an event against a subscription")
-    p.add_argument("event")
-    p.add_argument("subscription")
-    _add_relation_flags(p)
-    p.add_argument(
-        "--explain",
-        action="store_true",
-        help="show normalized forms, added pairs, and witnesses",
-    )
-
-    p = sub.add_parser("covers", help="test whether one subscription covers another")
-    p.add_argument("sub1")
-    p.add_argument("sub2")
-    _add_relation_flags(p)
-
-    p = sub.add_parser(
-        "intersects", help="test whether an advertisement intersects a subscription"
-    )
-    p.add_argument("advertisement")
-    p.add_argument("subscription")
-    _add_relation_flags(p)
-
-    p = sub.add_parser("simulate", help="run a scenario through the broker overlay")
-    p.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p.add_argument("--random", action="store_true", help="generate a scenario instead")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument(
-        "--mode",
-        choices=["syntactic", "semantic"],
-        help="override the scenario's declared mode",
-    )
-    p.add_argument("--verify", action="store_true", help="grade against the oracle")
-    p.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    return parser
-
-
 def _load_kb(args) -> KnowledgeBase:
     if args.mode == "semantic":
         if not args.knowledge:
@@ -147,32 +94,80 @@ def _explain_match(event, sub, kb, semantic: bool) -> None:
         print(f"  {text}  <-  {shown}")
 
 
-def _cmd_match(args) -> int:
+# Per relation subcommand: help, operands as (argparse name, parser), relation,
+# tokens printed when it holds and when not, `--explain` printer or None.
+_RELATIONS = {
+    "match": (
+        "match an event against a subscription",
+        (("event", parse_event), ("subscription", parse_subscription)),
+        sem_match,
+        ("match", "no-match"),
+        _explain_match,
+    ),
+    "covers": (
+        "test whether one subscription covers another",
+        (("sub1", parse_subscription), ("sub2", parse_subscription)),
+        sem_covers,
+        ("covers", "not-covers"),
+        None,
+    ),
+    "intersects": (
+        "test whether an advertisement intersects a subscription",
+        (("advertisement", parse_advertisement), ("subscription", parse_subscription)),
+        sem_intersects,
+        ("intersects", "not-intersects"),
+        None,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="semroute",
+        description="Content-based publish/subscribe matching and simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for command, (help_text, operands, _, _, explain) in _RELATIONS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, _ in operands:
+            p.add_argument(name)
+        p.add_argument("--knowledge", metavar="PATH", help="knowledge JSON file")
+        p.add_argument(
+            "--mode",
+            choices=["syntactic", "semantic"],
+            default="syntactic",
+            help="relation set to apply (default: syntactic)",
+        )
+        if explain is not None:
+            p.add_argument(
+                "--explain",
+                action="store_true",
+                help="show normalized forms, added pairs, and witnesses",
+            )
+
+    p = sub.add_parser("simulate", help="run a scenario through the broker overlay")
+    p.add_argument("scenario", nargs="?", help="scenario JSON file")
+    p.add_argument("--random", action="store_true", help="generate a scenario instead")
+    p.add_argument("--seed", type=int, default=0, help="seed for --random")
+    p.add_argument(
+        "--mode",
+        choices=["syntactic", "semantic"],
+        help="override the scenario's declared mode",
+    )
+    p.add_argument("--verify", action="store_true", help="grade against the oracle")
+    p.add_argument("--report", metavar="PATH", help="write the JSON report here")
+    return parser
+
+
+def _cmd_relation(args) -> int:
+    _, operands, relation, (holds, fails), explain = _RELATIONS[args.command]
     kb = _load_kb(args)
-    event = parse_event(args.event)
-    sub = parse_subscription(args.subscription)
-    result = sem_match(event, sub, kb)
-    if args.explain:
-        _explain_match(event, sub, kb, args.mode == "semantic")
-    print("match" if result else "no-match")
-    return EXIT_TRUE if result else EXIT_FALSE
-
-
-def _cmd_covers(args) -> int:
-    kb = _load_kb(args)
-    s1 = parse_subscription(args.sub1)
-    s2 = parse_subscription(args.sub2)
-    result = sem_covers(s1, s2, kb)
-    print("covers" if result else "not-covers")
-    return EXIT_TRUE if result else EXIT_FALSE
-
-
-def _cmd_intersects(args) -> int:
-    kb = _load_kb(args)
-    adv = parse_advertisement(args.advertisement)
-    sub = parse_subscription(args.subscription)
-    result = sem_intersects(adv, sub, kb)
-    print("intersects" if result else "not-intersects")
+    left, right = (parse(getattr(args, name)) for name, parse in operands)
+    result = relation(left, right, kb)
+    if explain is not None and args.explain:
+        explain(left, right, kb, args.mode == "semantic")
+    print(holds if result else fails)
     return EXIT_TRUE if result else EXIT_FALSE
 
 
@@ -214,14 +209,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(err.code or 0)
-    handlers = {
-        "match": _cmd_match,
-        "covers": _cmd_covers,
-        "intersects": _cmd_intersects,
-        "simulate": _cmd_simulate,
-    }
+    handler = _cmd_simulate if args.command == "simulate" else _cmd_relation
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (
         CliError,
         ParseError,
@@ -232,6 +222,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-
-if __name__ == "__main__":
-    sys.exit(main())

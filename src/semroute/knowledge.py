@@ -129,6 +129,8 @@ class KnowledgeBase:
         self._ancestor_values: dict[str, tuple[Value, ...]] = {}
 
     def _validate(self) -> None:
+        if not (INT_MIN <= self.reference_year <= INT_MAX):
+            raise KnowledgeError("reference_year out of 64-bit range")
         for group in self.synonyms:
             if group.root in group.members:
                 raise KnowledgeError(

@@ -571,22 +571,20 @@ def parse_event(text: str) -> Event:
     return Event(_scan_pairs(text) or _Parser(text).event_pairs())
 
 
-def parse_subscription(text: str, sub_id: str | None = None) -> Subscription:
+def parse_subscription(text: str) -> Subscription:
     """Parse ``(attr op value) AND ...`` into a subscription.
 
-    The id defaults to the canonical rendered text, which is stable across
-    runs and unique per content.
+    The id is the canonical rendered text, which is stable across runs and
+    unique per content.
     """
     predicates = _scan_predicates(text) or _Parser(text).predicates("subscription")
-    canonical = _render_predicates(predicates)
-    return Subscription(predicates, id=sub_id if sub_id is not None else canonical)
+    return Subscription(predicates, id=_render_predicates(predicates))
 
 
-def parse_advertisement(text: str, adv_id: str | None = None) -> Advertisement:
-    """Parse the subscription grammar into an advertisement."""
+def parse_advertisement(text: str) -> Advertisement:
+    """Like `parse_subscription`, but into an advertisement."""
     predicates = _scan_predicates(text) or _Parser(text).predicates("advertisement")
-    canonical = _render_predicates(predicates)
-    return Advertisement(predicates, id=adv_id if adv_id is not None else canonical)
+    return Advertisement(predicates, id=_render_predicates(predicates))
 
 
 def _render_attr(name: str) -> str:

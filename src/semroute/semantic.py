@@ -43,7 +43,7 @@ normal form against the event's kept summary, through the normal form's
 requirement rows (`syntactic.requirement_met`) and without `sem_match`, so
 `sem_match`'s memo, the only module-level cache, is off routing's path, as
 it is off the oracle's and the mapping-gap check's in `sim`: only the CLI
-and the tests fill it.
+and the tests fill it, and it keeps at most 1,024 entries.
 Publish admission (`sem_admits`, and `sem_determines` for one
 advertisement) normalizes each event pair once per publish, however many
 advertisements are asked, and asks each advertisement's normal form for
@@ -101,21 +101,13 @@ class AugmentedEvent:
     # the base event's first, mapped to None, then the added ones, mapped to
     # their provenance.
     values: dict[str, dict[Value, Optional[Provenance]]]
-    # The attribute of each added value, in the order they were added.
-    order: tuple[str, ...]
+    # The (attribute, value) of each added pair, in the order they were added.
+    order: tuple[tuple[str, Value], ...]
 
     @property
     def added(self) -> tuple[AddedPair, ...]:
         """The added pairs, in the order they were added."""
-        later = {
-            attribute: iter([(v, p) for v, p in held.items() if p is not None])
-            for attribute, held in self.values.items()
-        }
-        return tuple(
-            AddedPair(Pair(attribute, value), provenance)
-            for attribute in self.order
-            for value, provenance in (next(later[attribute]),)
-        )
+        return tuple(AddedPair(Pair(a, v), self.values[a][v]) for a, v in self.order)
 
 
 def normalize_value(value: Value, kb: KnowledgeBase) -> Value:
@@ -177,13 +169,13 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     base and hierarchy-added pairs only; their outputs do not feed later
     functions.
 
-    The pass fills the values by attribute directly (`AugmentedEvent.values`);
-    the added pairs are built from them only when asked for.
+    The pass fills the values by attribute (`AugmentedEvent.values`) and
+    records each added pair in the order it was added.
     """
     values: dict[str, dict[Value, Optional[Provenance]]] = {}
     for pair in event.pairs:
         values.setdefault(pair.attribute, {})[pair.value] = None
-    order: list[str] = []
+    order: list[tuple[str, Value]] = []
     for pair in event.pairs:
         chain = value_chain(pair.value, kb)
         for attribute in (pair.attribute, *kb.ancestors(pair.attribute)):
@@ -191,7 +183,7 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
             for v in chain:
                 if v not in held:
                     held[v] = Provenance.HIERARCHY
-                    order.append(attribute)
+                    order.append((attribute, v))
 
     # Every mapping reads the values before any output joins them.
     outputs = [apply_mapping(f, values, kb.reference_year) for f in kb.mappings]
@@ -201,7 +193,7 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
         held = values.setdefault(output.attribute, {})
         if output.value not in held:
             held[output.value] = Provenance.MAPPING
-            order.append(output.attribute)
+            order.append(output)
     return AugmentedEvent(event, values, tuple(order))
 
 
@@ -247,7 +239,7 @@ def event_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     return kept(event, "_augmented", kb, augmented_implied)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sem_match(event: Event, sub: Subscription, kb: KnowledgeBase) -> bool:
     """True iff the augmented event matches the normalized subscription."""
     return all_implied(normalized(sub, kb).predicates, event_implied(event, kb))

@@ -38,6 +38,43 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Two operands for each relation subcommand, for which the relation holds.
+RELATION_OPERANDS = {
+    "match": ("{(a, 1)}", "(a = 1)"),
+    "covers": ("(a = 1)", "(a = 1)"),
+    "intersects": ("(a = 1)", "(a = 1)"),
+}
+# One run of each subcommand that exits 0, with the first line it prints.
+ENTRY_POINT_RUNS = [
+    *(([c, *operands], c) for c, operands in RELATION_OPERANDS.items()),
+    (["simulate", "scenarios/gap.json", "--verify"], "mode        semantic"),
+]
+ENTRY_POINT_IDS = [*RELATION_OPERANDS, "simulate"]
+
+
+class TestRelationCommands:
+    @pytest.mark.parametrize("command", RELATION_OPERANDS)
+    def test_missing_operand_exits_two(self, capsys, command):
+        first, _ = RELATION_OPERANDS[command]
+        code, out, err = run_cli(capsys, command, first)
+        assert (code, out) == (2, "")
+        assert "the following arguments are required" in err
+
+    @pytest.mark.parametrize("command", RELATION_OPERANDS)
+    def test_semantic_mode_requires_knowledge(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, *RELATION_OPERANDS[command], "--mode", "semantic"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: semantic mode requires --knowledge\n"
+
+    @pytest.mark.parametrize("command", ["covers", "intersects"])
+    def test_explain_is_match_only(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *RELATION_OPERANDS[command], "--explain")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --explain" in err
+
+
 class TestMatchCommand:
     def test_semantic_match(self, capsys):
         code, out, _ = run_cli(
@@ -496,7 +533,8 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         assert "simulate" in out
 
-    def test_entry_point_installed(self):
+    @pytest.mark.parametrize("argv, first_line", ENTRY_POINT_RUNS, ids=ENTRY_POINT_IDS)
+    def test_entry_point_installed(self, argv, first_line):
         # Run what the console script generated from [project.scripts] runs,
         # so the declared target and main()'s use of the process argv are
         # checked without an installed package.
@@ -505,13 +543,14 @@ class TestArgumentHandling:
         module, _, func = pyproject["project"]["scripts"]["semroute"].partition(":")
         script = f"import sys; from {module} import {func}; sys.exit({func}())"
         result = subprocess.run(
-            [sys.executable, "-c", script, "covers", "(a = 1)", "(a = 1)"],
+            [sys.executable, "-c", script, *argv],
             capture_output=True,
             text=True,
             env=_child_env(),
+            cwd=ROOT,
         )
-        assert result.returncode == 0
-        assert result.stdout == "covers\n"
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == first_line
 
     def test_module_runs_the_cli(self):
         result = subprocess.run(
@@ -527,11 +566,13 @@ class TestArgumentHandling:
     @pytest.mark.skipif(
         shutil.which("semroute") is None, reason="semroute script not on PATH"
     )
-    def test_entry_point_on_path(self):
+    @pytest.mark.parametrize("argv, first_line", ENTRY_POINT_RUNS, ids=ENTRY_POINT_IDS)
+    def test_entry_point_on_path(self, argv, first_line):
         result = subprocess.run(
-            ["semroute", "covers", "(a = 1)", "(a = 1)"],
+            ["semroute", *argv],
             capture_output=True,
             text=True,
+            cwd=ROOT,
         )
-        assert result.returncode == 0
-        assert result.stdout == "covers\n"
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == first_line

@@ -181,6 +181,11 @@ class TestLoaderValidation:
             load_knowledge(doc(reference_year="recent"))
         with pytest.raises(KnowledgeError, match="reference_year"):
             load_knowledge(doc(reference_year=True))
+        for year in (2**63, -(2**63) - 1):
+            with pytest.raises(KnowledgeError, match="reference_year"):
+                load_knowledge(doc(reference_year=year))
+        for year in (2**63 - 1, -(2**63)):
+            assert load_knowledge(doc(reference_year=year)).reference_year == year
 
     def test_unknown_body_kind(self):
         bad = {

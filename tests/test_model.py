@@ -214,8 +214,9 @@ class TestParsePredicates:
         assert s.id == '(a = "foo")'
 
     def test_ids_do_not_affect_equality(self):
-        a = parse_subscription("(x = 1)", sub_id="one")
-        b = parse_subscription("(x = 1)", sub_id="two")
+        predicates = parse_subscription("(x = 1)").predicates
+        a = Subscription(predicates, id="one")
+        b = Subscription(predicates, id="two")
         assert a == b
         assert hash(a) == hash(b)
 

@@ -631,6 +631,19 @@ def test_no_module_level_cache_but_sem_match():
     assert containers == []
 
 
+def test_sem_match_memo_is_bounded():
+    size = sem_match.cache_info().maxsize
+    assert size is not None
+    sub = parse_subscription("(x = 0)")
+    sem_match.cache_clear()
+    try:
+        for i in range(size + 1):
+            sem_match(Event((Pair("x", Value.integer(i)),)), sub, KnowledgeBase.empty())
+        assert sem_match.cache_info().currsize == size
+    finally:
+        sem_match.cache_clear()
+
+
 class TestSemCovers:
     def test_printed_material_covers_book(self, example_kb):
         s1 = parse_subscription('(product = "printed material") AND (topic = "semantic web")')
