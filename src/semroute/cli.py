@@ -42,6 +42,7 @@ from .sim import (
     Verdict,
     load_scenario,
     random_scenario_document,
+    relation_knowledge,
     run,
     verify,
 )
@@ -58,16 +59,17 @@ class CliError(Exception):
 
 
 def _load_kb(args) -> KnowledgeBase:
-    if args.mode == "semantic":
-        if not args.knowledge:
-            raise CliError("semantic mode requires --knowledge")
+    """`--knowledge`, read and validated whenever it is given, as the mode's
+    relations see it."""
+    if args.mode == "semantic" and not args.knowledge:
+        raise CliError("semantic mode requires --knowledge")
+    kb = KnowledgeBase.empty()
+    if args.knowledge:
         try:
-            return load_knowledge(Path(args.knowledge).read_bytes())
+            kb = load_knowledge(Path(args.knowledge).read_bytes())
         except OSError as err:
             raise CliError(f"cannot read knowledge file: {err}") from None
-        except KnowledgeError as err:
-            raise CliError(str(err)) from None
-    return KnowledgeBase.empty()
+    return relation_knowledge(RoutingMode(args.mode), kb)
 
 
 def _explain_match(event, sub, kb, semantic: bool) -> None:

@@ -42,6 +42,7 @@ from .model import (
     Predicate,
     RelOp,
     Value,
+    check_keys,
     excerpt,
     list_field,
     read_document,
@@ -269,6 +270,7 @@ def _json_value(raw: object, where: str) -> Value:
 def _parse_guard(raw: object, where: str) -> Predicate:
     if not isinstance(raw, dict):
         raise KnowledgeError(f"{where}: guard must be an object")
+    check_keys(raw, {"attribute", "op", "value"}, KnowledgeError, f"{where}.guard")
     try:
         attr = raw["attribute"]
         op_text = raw["op"]
@@ -334,6 +336,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         where = f"synonyms[{i}]"
         if not isinstance(raw, dict) or "root" not in raw or "members" not in raw:
             raise KnowledgeError(f"{where}: need root and members")
+        check_keys(raw, {"root", "members"}, KnowledgeError, where)
         members = raw["members"]
         if not isinstance(members, list) or not all(
             isinstance(m, str) and m for m in members
@@ -350,6 +353,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         where = f"hierarchy[{i}]"
         if not isinstance(raw, dict) or "child" not in raw or "parent" not in raw:
             raise KnowledgeError(f"{where}: need child and parent")
+        check_keys(raw, {"child", "parent"}, KnowledgeError, where)
         child = _term(raw["child"], where, "child")
         parent = _term(raw["parent"], where, "parent")
         edges.append((child, parent))
@@ -359,6 +363,9 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         where = f"mappings[{i}]"
         if not isinstance(raw, dict):
             raise KnowledgeError(f"{where}: must be an object")
+        check_keys(
+            raw, {"name", "inputs", "guard", "output", "body"}, KnowledgeError, where
+        )
         try:
             name = raw["name"]
             inputs = raw["inputs"]

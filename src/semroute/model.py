@@ -79,10 +79,18 @@ def read_document(
         data = document
     if not isinstance(data, dict):
         raise error(f"{noun} must be a JSON object")
-    unknown = set(data) - known
-    if unknown:
-        raise error(f"unknown keys: {excerpt(sorted(unknown))}")
+    check_keys(data, known, error)
     return data
+
+
+def check_keys(
+    data: dict, known: set, error: type[ValueError], where: str = ""
+) -> None:
+    """`error` when `data` holds a key outside `known`; the message names
+    `where`, if given, as in `mappings[0]: unknown keys: ['gaurd']`."""
+    if not data.keys() <= known:
+        unknown = f"unknown keys: {excerpt(sorted(data.keys() - known))}"
+        raise error(f"{where}: {unknown}" if where else unknown)
 
 
 def list_field(data: dict, key: str, error: type[ValueError]) -> list:

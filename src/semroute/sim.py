@@ -51,6 +51,7 @@ from .model import (
     Advertisement,
     ParseError,
     Subscription,
+    check_keys,
     excerpt,
     list_field,
     parse_advertisement,
@@ -237,6 +238,7 @@ def load_scenario(
             isinstance(raw, dict) and "id" in raw and "broker" in raw,
             "clients need id and broker",
         )
+        check_keys(raw, {"id", "broker"}, ScenarioError, f"clients[{i}]")
         cid = _name(raw["id"], "client id")
         broker = _name(raw["broker"], f"clients[{i}]: broker")
         if broker not in neighbors:
@@ -295,6 +297,7 @@ def load_scenario(
             and {"action", "client", "payload"} <= set(raw),
             f"{where}: need action, client, payload",
         )
+        check_keys(raw, {"action", "client", "payload"}, ScenarioError, where)
         action = raw["action"]
         if not (isinstance(action, str) and action in parsers):
             raise ScenarioError(f"{where}: unknown action {excerpt(action)}")
@@ -423,35 +426,16 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
 def _mapping_explains(
     scenario: Scenario, missing: tuple[tuple[str, int], ...]
 ) -> bool:
-    """True iff every missed delivery hinges entirely on mapping functions.
-
-    A miss is a delivery the oracle expects, so an earlier subscription of
-    the client matches the event with the mappings, whose outputs only add
-    values.  So a miss hinges on mappings iff no earlier subscription of the
-    client matches the event over the knowledge base without its mappings:
-    then no relation-driven forwarding decision could have routed it, which
-    is the documented blind spot rather than a routing defect.  Matching is
-    the oracle's, so `sem_match`'s memo is neither read nor filled.
-    Syntactic mode, which has no mappings, explains no miss.
-    """
+    """True iff every miss hinges on mapping functions, whose outputs only
+    add values: the oracle over the knowledge base without its mappings
+    expects none of them, so no relation-driven forwarding could have routed
+    them (the documented blind spot, not a routing defect).  Syntactic mode,
+    which has no mappings, explains no miss."""
     kb = relation_knowledge(scenario.mode, scenario.kb)
     if not kb.mappings:
         return False
-    bare = kb.without_mappings()
-    for client, index in missing:
-        subscribed: list[Subscription] = []
-        for action in scenario.script:
-            if action.kind is MessageKind.SUBSCRIBE and action.frm == client:
-                subscribed.append(action.payload)
-            elif action.kind is MessageKind.PUBLISH and action.index == index:
-                implied = augmented_implied(action.payload, bare)
-                break
-        if any(
-            all_implied(normalize_subscription(sub, bare).predicates, implied)
-            for sub in subscribed
-        ):
-            return False
-    return True
+    bare = replace(scenario, kb=kb.without_mappings())
+    return oracle_deliveries(bare).isdisjoint(missing)
 
 
 def verify(scenario: Scenario) -> SimReport:

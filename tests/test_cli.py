@@ -44,6 +44,16 @@ RELATION_OPERANDS = {
     "covers": ("(a = 1)", "(a = 1)"),
     "intersects": ("(a = 1)", "(a = 1)"),
 }
+# Two operands for each relation subcommand, for which the relation holds
+# over the bundled knowledge base but not syntactically, and the token
+# printed when it does not hold.
+SEMANTIC_OPERANDS = {
+    "match": ("{(car, 1)}", "(vehicle = 1)", "no-match"),
+    "covers": ("(book = 1)", "(encyclopedia = 1)", "not-covers"),
+    "intersects": (
+        '(product = "printed material")', '(product = "book")', "not-intersects"
+    ),
+}
 # One run of each subcommand that exits 0, with the first line it prints.
 ENTRY_POINT_RUNS = [
     *(([c, *operands], c) for c, operands in RELATION_OPERANDS.items()),
@@ -67,6 +77,38 @@ class TestRelationCommands:
         )
         assert (code, out) == (2, "")
         assert err == "error: semantic mode requires --knowledge\n"
+
+    @pytest.mark.parametrize("command", RELATION_OPERANDS)
+    def test_missing_knowledge_file_exits_two_in_any_mode(
+        self, capsys, tmp_path, command
+    ):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            capsys, command, *RELATION_OPERANDS[command], "--knowledge", missing
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read knowledge file")
+
+    @pytest.mark.parametrize("command", RELATION_OPERANDS)
+    def test_malformed_knowledge_exits_two_in_any_mode(
+        self, capsys, tmp_path, command
+    ):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps({"synonyms": 5}))
+        code, out, err = run_cli(
+            capsys, command, *RELATION_OPERANDS[command], "--knowledge", str(kb_path)
+        )
+        assert (code, out, err) == (2, "", "error: synonyms must be a list\n")
+
+    @pytest.mark.parametrize("command", SEMANTIC_OPERANDS)
+    def test_knowledge_is_used_only_in_semantic_mode(self, capsys, command):
+        *operands, fails = SEMANTIC_OPERANDS[command]
+        code, out, _ = run_cli(capsys, command, *operands, "--knowledge", KB)
+        assert (code, out) == (1, f"{fails}\n")
+        code, out, _ = run_cli(
+            capsys, command, *operands, "--knowledge", KB, "--mode", "semantic"
+        )
+        assert (code, out) == (0, f"{command}\n")
 
     @pytest.mark.parametrize("command", ["covers", "intersects"])
     def test_explain_is_match_only(self, capsys, command):

@@ -90,6 +90,16 @@ def doc(**overrides) -> dict:
     return base
 
 
+# A mapping whose every key is read.
+MAPPING = {
+    "name": "f",
+    "inputs": ["a", "b"],
+    "guard": {"attribute": "b", "op": "=", "value": True},
+    "output": "c",
+    "body": {"kind": "rename", "input": "a"},
+}
+
+
 class TestLoaderValidation:
     def test_round_trips_through_bytes_and_str(self):
         text = json.dumps(doc())
@@ -121,6 +131,34 @@ class TestLoaderValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(KnowledgeError, match="unknown keys"):
             load_knowledge(doc(extra=1))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"synonyms": [{"root": "v", "members": ["c"], "member": "d"}]},
+                "synonyms[0]: unknown keys: ['member']",
+            ),
+            (
+                {"hierarchy": [{"child": "b", "parent": "p", "parnet": "q"}]},
+                "hierarchy[0]: unknown keys: ['parnet']",
+            ),
+            (
+                {"mappings": [{**MAPPING, "gaurd": MAPPING["guard"]}]},
+                "mappings[0]: unknown keys: ['gaurd']",
+            ),
+            (
+                {"mappings": [{**MAPPING, "guard": {**MAPPING["guard"], "vlaue": 1}}]},
+                "mappings[0].guard: unknown keys: ['vlaue']",
+            ),
+        ],
+        ids=["synonym-group", "hierarchy-edge", "mapping", "guard"],
+    )
+    def test_nested_objects_reject_unknown_keys(self, overrides, message):
+        assert load_knowledge(doc(mappings=[MAPPING])).mappings[0].guard is not None
+        with pytest.raises(KnowledgeError) as err:
+            load_knowledge(doc(**overrides))
+        assert str(err.value) == message
 
     def test_terms_are_case_folded(self):
         kb = load_knowledge(doc(synonyms=[{"root": "Vehicle", "members": ["Car"]}]))

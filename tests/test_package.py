@@ -1,11 +1,15 @@
 """The package surface: what `semroute` exports, and what its modules share."""
 
 import ast
+import functools
 from pathlib import Path
 
 import semroute
 
+from .conftest import ROOT
+
 PACKAGE = Path(semroute.__file__).resolve().parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_every_exported_name_resolves():
@@ -48,3 +52,44 @@ def test_the_reference_shares_no_code_with_what_it_referees():
             imported.update(alias.name for alias in node.names)
     assert "semroute.model" in imported
     assert not imported & refereed
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """The (owner, attribute) pairs that `bench/tracing.py` patches, read
+    from its `COUNTED`, `COUNTED_TRUE`, `TIMED` and `SPANNED` tables without
+    importing it; each owner as its dotted name."""
+    tables = {"COUNTED", "COUNTED_TRUE", "TIMED", "SPANNED"}
+    found = set()
+    targets = []
+    for node in ast.parse(TRACING.read_text(), filename=str(TRACING)).body:
+        name = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(name, ast.Name) and name.id in tables:
+            found.add(name.id)
+            for entry in node.value.elts:
+                owner, attribute, _ = entry.elts
+                targets.append((ast.unparse(owner), attribute.value))
+    assert found == tables
+    return targets
+
+
+def test_every_name_the_tracer_patches_resolves():
+    for owner, attribute in _tracer_targets():
+        _, *path = owner.split(".")
+        obj = functools.reduce(getattr, path, semroute)
+        # `Tracer._patch` reads the raw attribute from the owner itself.
+        assert attribute in vars(obj), (owner, attribute)
+
+
+def test_every_unused_import_is_one_the_tracer_patches():
+    patched = set(_tracer_targets())
+    kept = [
+        (f"semroute.{path.stem}", alias.asname or alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for source in [path.read_text()]
+        for node in ast.walk(ast.parse(source, filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and "# noqa: F401" in source.splitlines()[node.end_lineno - 1]
+        for alias in node.names
+    ]
+    assert kept
+    assert set(kept) <= patched

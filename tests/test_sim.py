@@ -122,6 +122,17 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="unknown keys"):
             load_scenario(minimal_doc(moed="semantic"))
 
+    @pytest.mark.parametrize(
+        "where, typo",
+        [("clients", {"brokr": "b1"}), ("script", {"paylaod": "(x >= 1)"})],
+    )
+    def test_nested_objects_reject_unknown_keys(self, where, typo):
+        doc = minimal_doc()
+        doc[where][1].update(typo)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert str(err.value) == f"{where}[1]: unknown keys: {sorted(typo)}"
+
     def test_cycle_rejected(self):
         doc = minimal_doc(
             brokers=["b1", "b2", "b3"],
@@ -401,6 +412,31 @@ class TestProfessorScenarios:
         assert report.verdict == verdict.value
         assert report.missing == (("profx", 0),)
         assert report.deliveries == ()
+
+    @pytest.mark.parametrize(
+        "position, payload, verdict",
+        [
+            # Made before the advertisement and matching without mappings: a
+            # stale subscription, which a mapping cannot explain.
+            (0, '(degree = "phd")', Verdict.FAIL),
+            # Made after it, and due the event only through the mapping.
+            (1, '("professional experience" > 2)', Verdict.MAPPING_GAP),
+        ],
+    )
+    def test_a_gap_needs_every_miss_to_hinge_on_the_mapping(
+        self, scenario_dir, position, payload, verdict
+    ):
+        doc = json.loads((scenario_dir / "professor_remote.json").read_text())
+        doc["knowledge"] = json.loads(
+            (scenario_dir / "knowledge_base.json").read_text()
+        )
+        doc["clients"].append({"id": "w", "broker": "b2"})
+        doc["script"].insert(
+            position, {"action": "subscribe", "client": "w", "payload": payload}
+        )
+        report = verify(load_scenario(doc))
+        assert report.missing == (("profx", 0), ("w", 0))
+        assert report.verdict == verdict.value
 
 
 class TestDeliverySemantics:
