@@ -25,6 +25,7 @@ from .model import (
     parse_advertisement,
     parse_event,
     parse_subscription,
+    read_file,
     render,
     render_pair,
 )
@@ -65,10 +66,7 @@ def _load_kb(args) -> KnowledgeBase:
         raise CliError("semantic mode requires --knowledge")
     kb = KnowledgeBase.empty()
     if args.knowledge:
-        try:
-            kb = load_knowledge(Path(args.knowledge).read_bytes())
-        except OSError as err:
-            raise CliError(f"cannot read knowledge file: {err}") from None
+        kb = load_knowledge(read_file(Path(args.knowledge), CliError, "knowledge file"))
     return relation_knowledge(RoutingMode(args.mode), kb)
 
 
@@ -180,10 +178,7 @@ def _cmd_simulate(args) -> int:
         if not args.scenario:
             raise CliError("a scenario file (or --random) is required")
         path = Path(args.scenario)
-        try:
-            raw = path.read_bytes()
-        except OSError as err:
-            raise CliError(f"cannot read scenario: {err}") from None
+        raw = read_file(path, CliError, "scenario")
         scenario = load_scenario(raw, base_dir=path.parent)
     if args.mode:
         scenario = scenario.with_mode(RoutingMode(args.mode))

@@ -42,10 +42,11 @@ from .model import (
     Predicate,
     RelOp,
     Value,
-    check_keys,
     excerpt,
     list_field,
     read_document,
+    read_name,
+    read_object,
 )
 
 
@@ -268,27 +269,20 @@ def _json_value(raw: object, where: str) -> Value:
 
 
 def _parse_guard(raw: object, where: str) -> Predicate:
-    if not isinstance(raw, dict):
-        raise KnowledgeError(f"{where}: guard must be an object")
-    check_keys(raw, {"attribute", "op", "value"}, KnowledgeError, f"{where}.guard")
-    try:
-        attr = raw["attribute"]
-        op_text = raw["op"]
-        value = raw["value"]
-    except KeyError as missing:
-        raise KnowledgeError(f"{where}: guard missing key {missing}") from None
-    if not isinstance(attr, str) or not attr:
-        raise KnowledgeError(f"{where}: guard attribute must be a string")
+    fields = ("attribute", "op", "value")
+    raw = read_object(raw, fields, (), KnowledgeError, f"{where}.guard")
+    attr = _term(raw["attribute"], where, "guard attribute")
+    op_text = raw["op"]
     try:
         op = RelOp(op_text)
     except ValueError:
         raise KnowledgeError(
             f"{where}: unknown guard operator {excerpt(op_text)}"
         ) from None
-    val = _json_value(value, where)
+    val = _json_value(raw["value"], where)
     if op.is_ordering and not val.is_int:
         raise KnowledgeError(f"{where}: ordering guard requires an integer")
-    return Predicate(attr.lower(), op, val)
+    return Predicate(attr, op, val)
 
 
 def _is_int(raw: object) -> bool:
@@ -297,10 +291,8 @@ def _is_int(raw: object) -> bool:
 
 
 def _term(term: object, where: str, key: str) -> str:
-    """The lowercased term, which must be a non-empty string."""
-    if not isinstance(term, str) or not term:
-        raise KnowledgeError(f"{where}: {key} must be a non-empty string")
-    return term.lower()
+    """The lowercased term, read as a name."""
+    return read_name(term, f"{where}: {key}", KnowledgeError).lower()
 
 
 def _parse_body(raw: object, where: str) -> MappingBody:
@@ -334,9 +326,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     groups = []
     for i, raw in enumerate(list_field(data, "synonyms", KnowledgeError)):
         where = f"synonyms[{i}]"
-        if not isinstance(raw, dict) or "root" not in raw or "members" not in raw:
-            raise KnowledgeError(f"{where}: need root and members")
-        check_keys(raw, {"root", "members"}, KnowledgeError, where)
+        raw = read_object(raw, ("root", "members"), (), KnowledgeError, where)
         members = raw["members"]
         if not isinstance(members, list) or not all(
             isinstance(m, str) and m for m in members
@@ -351,9 +341,7 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     edges = []
     for i, raw in enumerate(list_field(data, "hierarchy", KnowledgeError)):
         where = f"hierarchy[{i}]"
-        if not isinstance(raw, dict) or "child" not in raw or "parent" not in raw:
-            raise KnowledgeError(f"{where}: need child and parent")
-        check_keys(raw, {"child", "parent"}, KnowledgeError, where)
+        raw = read_object(raw, ("child", "parent"), (), KnowledgeError, where)
         child = _term(raw["child"], where, "child")
         parent = _term(raw["parent"], where, "parent")
         edges.append((child, parent))
@@ -361,20 +349,10 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
     mappings = []
     for i, raw in enumerate(list_field(data, "mappings", KnowledgeError)):
         where = f"mappings[{i}]"
-        if not isinstance(raw, dict):
-            raise KnowledgeError(f"{where}: must be an object")
-        check_keys(
-            raw, {"name", "inputs", "guard", "output", "body"}, KnowledgeError, where
-        )
-        try:
-            name = raw["name"]
-            inputs = raw["inputs"]
-            output = raw["output"]
-            body_raw = raw["body"]
-        except KeyError as missing:
-            raise KnowledgeError(f"{where}: missing key {missing}") from None
-        if not isinstance(name, str) or not name:
-            raise KnowledgeError(f"{where}: name must be a non-empty string")
+        fields = ("name", "inputs", "output", "body")
+        raw = read_object(raw, fields, ("guard",), KnowledgeError, where)
+        name = read_name(raw["name"], f"{where}: name", KnowledgeError)
+        inputs = raw["inputs"]
         if not isinstance(inputs, list) or not all(
             isinstance(a, str) and a for a in inputs
         ):
@@ -385,8 +363,8 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
                 name=name,
                 inputs=tuple(a.lower() for a in inputs),
                 guard=guard,
-                output=_term(output, where, "output"),
-                body=_parse_body(body_raw, where),
+                output=_term(raw["output"], where, "output"),
+                body=_parse_body(raw["body"], where),
             )
         )
 

@@ -21,7 +21,9 @@ Ordering operators apply to integer values only.
 Entities compare and hash by their fields; what is derived from them (the
 cached properties, `kept`) stays outside those, and is rebuilt on first use
 after unpickling.  `split_by_operator` is the one operator split that every
-summary of a predicate set reads.
+summary of a predicate set reads.  `read_document`, `read_object`,
+`read_name` and `read_file` are the loaders' one reader per kind of outside
+input: a document, a nested object, a name and a file.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar, Union
 
 INT_MIN = -(2**63)
@@ -91,6 +94,40 @@ def check_keys(
     if not data.keys() <= known:
         unknown = f"unknown keys: {excerpt(sorted(data.keys() - known))}"
         raise error(f"{where}: {unknown}" if where else unknown)
+
+
+def read_object(
+    raw: object,
+    required: tuple[str, ...],
+    optional: tuple[str, ...],
+    error: type[ValueError],
+    where: str,
+) -> dict:
+    """`raw`, a JSON object holding every `required` key and nothing outside
+    `required` and `optional`; else `error`, as in `clients[1]: need id,
+    broker`."""
+    if not (isinstance(raw, dict) and all(map(raw.__contains__, required))):
+        raise error(f"{where}: need {', '.join(required)}")
+    # Holding every required key, an object no larger holds no other.
+    if len(raw) > len(required):
+        check_keys(raw, {*required, *optional}, error, where)
+    return raw
+
+
+def read_name(raw: object, what: str, error: type[ValueError]) -> str:
+    """`raw`, a non-empty string; else `error` naming `what`."""
+    if isinstance(raw, str) and raw:
+        return raw
+    raise error(f"{what} must be a non-empty string")
+
+
+def read_file(path: Path, error: type[Exception], what: str) -> bytes:
+    """The bytes at `path`; `error` naming `what` when they cannot be read,
+    a NUL in the path (a ValueError) included."""
+    try:
+        return path.read_bytes()
+    except (OSError, ValueError) as err:
+        raise error(f"cannot read {what}: {err}") from None
 
 
 def list_field(data: dict, key: str, error: type[ValueError]) -> list:

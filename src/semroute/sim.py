@@ -33,7 +33,8 @@ depends only on the entity and the knowledge base.  `verify` compares the
 run's deliveries against a centralized matcher that ignores topology; a
 deficit explainable only by mapping-dependent subscriptions (which
 relation-based forwarding cannot anticipate) is reported as MAPPING_GAP
-rather than FAIL.
+rather than FAIL, unless a missed client is on the publisher's own broker,
+where a delivery needs no forwarding decision.
 """
 
 from __future__ import annotations
@@ -51,13 +52,15 @@ from .model import (
     Advertisement,
     ParseError,
     Subscription,
-    check_keys,
     excerpt,
     list_field,
     parse_advertisement,
     parse_event,
     parse_subscription,
     read_document,
+    read_file,
+    read_name,
+    read_object,
 )
 from .routing import BrokerState, Message, MessageKind, handle_message
 from .semantic import (
@@ -175,9 +178,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _name(raw: object, what: str) -> str:
-    if isinstance(raw, str) and raw:
-        return raw
-    raise ScenarioError(f"{what} must be a non-empty string")
+    return read_name(raw, what, ScenarioError)
 
 
 def _tree(
@@ -234,11 +235,7 @@ def load_scenario(
 
     clients: dict[str, str] = {}
     for i, raw in enumerate(list_field(data, "clients", ScenarioError)):
-        _require(
-            isinstance(raw, dict) and "id" in raw and "broker" in raw,
-            "clients need id and broker",
-        )
-        check_keys(raw, {"id", "broker"}, ScenarioError, f"clients[{i}]")
+        raw = read_object(raw, ("id", "broker"), (), ScenarioError, f"clients[{i}]")
         cid = _name(raw["id"], "client id")
         broker = _name(raw["broker"], f"clients[{i}]: broker")
         if broker not in neighbors:
@@ -258,10 +255,7 @@ def load_scenario(
             path = Path(knowledge)
             if not path.is_absolute() and base_dir is not None:
                 path = base_dir / path
-            try:
-                knowledge = path.read_bytes()
-            except (OSError, ValueError) as err:  # ValueError: a NUL in the path
-                raise ScenarioError(f"cannot read knowledge file: {err}") from None
+            knowledge = read_file(path, ScenarioError, "knowledge file")
         elif not isinstance(knowledge, dict):
             raise ScenarioError("knowledge must be a path or an object")
         try:
@@ -292,12 +286,7 @@ def load_scenario(
     advertised: dict[str, list[Advertisement]] = {c: [] for c in clients}
     for i, raw in enumerate(list_field(data, "script", ScenarioError)):
         where = f"script[{i}]"
-        _require(
-            isinstance(raw, dict)
-            and {"action", "client", "payload"} <= set(raw),
-            f"{where}: need action, client, payload",
-        )
-        check_keys(raw, {"action", "client", "payload"}, ScenarioError, where)
+        raw = read_object(raw, ("action", "client", "payload"), (), ScenarioError, where)
         action = raw["action"]
         if not (isinstance(action, str) and action in parsers):
             raise ScenarioError(f"{where}: unknown action {excerpt(action)}")
@@ -430,9 +419,15 @@ def _mapping_explains(
     add values: the oracle over the knowledge base without its mappings
     expects none of them, so no relation-driven forwarding could have routed
     them (the documented blind spot, not a routing defect).  Syntactic mode,
-    which has no mappings, explains no miss."""
+    which has no mappings, explains no miss, and neither does a miss at a
+    client on the publisher's own broker: a local delivery needs no
+    forwarding decision."""
     kb = relation_knowledge(scenario.mode, scenario.kb)
     if not kb.mappings:
+        return False
+    # Each publication's first message goes to its publisher's home broker.
+    home = {a.index: a.to for a in scenario.script if a.kind is MessageKind.PUBLISH}
+    if any(scenario.clients[client] == home[index] for client, index in missing):
         return False
     bare = replace(scenario, kb=kb.without_mappings())
     return oracle_deliveries(bare).isdisjoint(missing)

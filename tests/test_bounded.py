@@ -107,18 +107,18 @@ def document(mode, knowledge, script):
     return doc
 
 
-def scripts(alphabet):
-    """Every script of up to `MAX_ACTIONS` steps that ends in a publish."""
+def scripts(alphabet, max_actions):
+    """Every script of up to `max_actions` steps that ends in a publish."""
     steps = [(c["id"], action) for c in CLIENTS for action in alphabet]
-    for n in range(1, MAX_ACTIONS + 1):
+    for n in range(1, max_actions + 1):
         for script in itertools.product(steps, repeat=n):
             if script[-1][1][0] == "publish":
                 yield script
 
 
-def loaded(mode, knowledge, alphabet):
+def loaded(mode, knowledge, alphabet, max_actions):
     """Each script that loads, with its scenario."""
-    for script in scripts(alphabet):
+    for script in scripts(alphabet, max_actions):
         try:
             yield script, load_scenario(document(mode, knowledge, script))
         except ScenarioError:
@@ -143,10 +143,14 @@ def bruteforce_deliveries(scenario, kb):
 
 @pytest.mark.parametrize("scope", SCOPES)
 def test_every_small_scenario(scope):
-    mode, knowledge, alphabet, n_documents, verdicts = SCOPES[scope]
+    check_scope(*SCOPES[scope], MAX_ACTIONS)
+
+
+def check_scope(mode, knowledge, alphabet, n_documents, verdicts, max_actions):
+    """Grade every document of the scope and check each invariant."""
     seen = {}
     count = 0
-    for script, scenario in loaded(mode, knowledge, alphabet):
+    for script, scenario in loaded(mode, knowledge, alphabet, max_actions):
         count += 1
         report = verify(scenario)
         seen[report.verdict] = seen.get(report.verdict, 0) + 1

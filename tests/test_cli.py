@@ -90,6 +90,14 @@ class TestRelationCommands:
         assert err.startswith("error: cannot read knowledge file")
 
     @pytest.mark.parametrize("command", RELATION_OPERANDS)
+    def test_knowledge_path_with_nul_byte_exits_two(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, *RELATION_OPERANDS[command], "--knowledge", "a\x00b"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read knowledge file:")
+
+    @pytest.mark.parametrize("command", RELATION_OPERANDS)
     def test_malformed_knowledge_exits_two_in_any_mode(
         self, capsys, tmp_path, command
     ):
@@ -516,6 +524,11 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "missing.json")
         assert code == 2
         assert "cannot read" in err
+
+    def test_scenario_path_with_nul_byte(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "a\x00b")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read scenario:")
 
     def test_no_scenario_and_no_random(self, capsys):
         code, _, err = run_cli(capsys, "simulate")

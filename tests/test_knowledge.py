@@ -160,6 +160,41 @@ class TestLoaderValidation:
             load_knowledge(doc(**overrides))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "section, entry, key, message",
+        [
+            ("synonyms", {"root": "v", "members": ["c"]}, "members",
+             "synonyms[0]: need root, members"),
+            ("hierarchy", {"child": "b", "parent": "p"}, "child",
+             "hierarchy[0]: need child, parent"),
+            ("mappings", MAPPING, "body", "mappings[0]: need name, inputs, output, body"),
+        ],
+        ids=["synonym-group", "hierarchy-edge", "mapping"],
+    )
+    def test_nested_objects_need_their_keys(self, section, entry, key, message):
+        missing = {k: v for k, v in entry.items() if k != key}
+        for bad in (["not", "an", "object"], missing):
+            with pytest.raises(KnowledgeError) as err:
+                load_knowledge(doc(**{section: [bad]}))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "guard", [7, {"attribute": "b", "value": True}], ids=["non-object", "no-op"]
+    )
+    def test_guard_needs_its_keys(self, guard):
+        with pytest.raises(KnowledgeError) as err:
+            load_knowledge(doc(mappings=[{**MAPPING, "guard": guard}]))
+        assert str(err.value) == "mappings[0].guard: need attribute, op, value"
+
+    @pytest.mark.parametrize("attribute", [5, ""], ids=["int", "empty"])
+    def test_guard_attribute_must_be_a_name(self, attribute):
+        guard = {**MAPPING["guard"], "attribute": attribute}
+        with pytest.raises(KnowledgeError) as err:
+            load_knowledge(doc(mappings=[{**MAPPING, "guard": guard}]))
+        assert str(err.value) == (
+            "mappings[0]: guard attribute must be a non-empty string"
+        )
+
     def test_terms_are_case_folded(self):
         kb = load_knowledge(doc(synonyms=[{"root": "Vehicle", "members": ["Car"]}]))
         assert kb.root_term("car") == "vehicle"

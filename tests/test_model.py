@@ -25,10 +25,50 @@ from semroute.model import (
     parse_advertisement,
     parse_event,
     parse_subscription,
+    read_file,
+    read_name,
+    read_object,
     render,
 )
 from semroute.semantic import match_event
 from semroute.syntactic import covers, intersects
+
+
+class Rejected(ValueError):
+    """The error a test hands the readers."""
+
+
+class TestReaders:
+    """The loaders' one reader per kind of outside input."""
+
+    @pytest.mark.parametrize(
+        "raw", [None, [1], "id", {"id": "c"}], ids=["null", "list", "string", "missing"]
+    )
+    def test_an_object_needs_its_keys(self, raw):
+        with pytest.raises(Rejected) as err:
+            read_object(raw, ("id", "broker"), (), Rejected, "clients[0]")
+        assert str(err.value) == "clients[0]: need id, broker"
+
+    def test_an_object_holds_only_its_keys(self):
+        raw = {"id": "c", "guard": 1}
+        assert read_object(raw, ("id",), ("guard",), Rejected, "w") is raw
+        with pytest.raises(Rejected) as err:
+            read_object({"id": "c", "gaurd": 1}, ("id",), ("guard",), Rejected, "w")
+        assert str(err.value) == "w: unknown keys: ['gaurd']"
+
+    @pytest.mark.parametrize("raw", [5, None, True, [], ""])
+    def test_a_name_is_a_non_empty_string(self, raw):
+        assert read_name("Ab", "w: name", Rejected) == "Ab"
+        with pytest.raises(Rejected) as err:
+            read_name(raw, "w: name", Rejected)
+        assert str(err.value) == "w: name must be a non-empty string"
+
+    @pytest.mark.parametrize("name", ["missing.json", "a\x00b"], ids=["missing", "nul"])
+    def test_an_unreadable_file_raises_the_given_error(self, tmp_path, name):
+        (tmp_path / "kb.json").write_bytes(b"{}")
+        assert read_file(tmp_path / "kb.json", Rejected, "kb") == b"{}"
+        with pytest.raises(Rejected, match="^cannot read kb: "):
+            read_file(tmp_path / name, Rejected, "kb")
 
 
 class TestValues:

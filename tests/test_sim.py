@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -132,6 +133,22 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc)
         assert str(err.value) == f"{where}[1]: unknown keys: {sorted(typo)}"
+
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            ("clients", "broker", "clients[1]: need id, broker"),
+            ("script", "client", "script[1]: need action, client, payload"),
+        ],
+    )
+    def test_nested_objects_need_their_keys(self, where, key, message):
+        entry = minimal_doc()[where][1]
+        for bad in ("not an object", {k: v for k, v in entry.items() if k != key}):
+            doc = minimal_doc()
+            doc[where][1] = bad
+            with pytest.raises(ScenarioError) as err:
+                load_scenario(doc)
+            assert str(err.value) == message
 
     def test_cycle_rejected(self):
         doc = minimal_doc(
@@ -385,6 +402,21 @@ class TestProfessorScenarios:
             assert verify(scenario).verdict == Verdict.MAPPING_GAP.value
             assert sem_match.cache_info() == before
 
+    def test_a_local_miss_is_a_failure(self, scenario_dir, monkeypatch):
+        # Only the mapping gives the subscriber the event, but it is on the
+        # publisher's broker, where a delivery needs no forwarding decision.
+        scenario = load_scenario(
+            (scenario_dir / "professor_local.json").read_bytes(),
+            base_dir=scenario_dir,
+        )
+        real = semroute.sim.run
+        monkeypatch.setattr(
+            semroute.sim, "run", lambda s: dataclasses.replace(real(s), deliveries=())
+        )
+        report = verify(scenario)
+        assert report.missing == (("profx", 0),)
+        assert report.verdict == Verdict.FAIL.value
+
     @pytest.mark.parametrize(
         "position, payload, verdict",
         [
@@ -563,6 +595,63 @@ class TestRespelling:
             second = verify(load_scenario(other))
             assert second.to_json() == first.to_json(), seed
         assert respelled_payloads > 0
+
+
+def _pairs_reversed(doc: dict) -> dict:
+    """The document with each publication's pairs in reverse order."""
+    script = []
+    for action in doc["script"]:
+        if action["action"] == "publish":
+            pairs = parse_event(action["payload"]).pairs
+            action = {**action, "payload": render(Event(pairs[::-1]))}
+        script.append(action)
+    return {**doc, "script": script}
+
+
+def _hop_inserted(doc: dict) -> dict:
+    """The document with a client-less broker `bx` inserted on its first
+    edge."""
+    (a, b), *rest = doc["edges"]
+    edges = [[a, "bx"], ["bx", b], *rest]
+    return {**doc, "brokers": [*doc["brokers"], "bx"], "edges": edges}
+
+
+class TestOverlayInvariance:
+    """Metamorphic: a generated document has no mappings, so the order of an
+    event's pairs changes no verified report; and a broker with no clients
+    only relays, so inserting one on an edge changes the message counts by
+    the extra hop but not the deliveries, the misses or the verdict.
+    Generated documents give every broker a client, so nothing else here
+    routes through a client-less broker."""
+
+    def test_reversed_pairs_give_the_same_report(self):
+        reversed_payloads = 0
+        for seed in range(60):
+            for mode in ("syntactic", "semantic"):
+                doc = dict(random_scenario_document(seed), mode=mode)
+                other = _pairs_reversed(doc)
+                reversed_payloads += sum(
+                    a != b for a, b in zip(doc["script"], other["script"])
+                )
+                first = verify(load_scenario(doc))
+                second = verify(load_scenario(other))
+                assert second.to_json() == first.to_json(), (seed, mode)
+        assert reversed_payloads > 0
+
+    def test_a_relay_broker_changes_no_delivery(self):
+        delivered = 0
+        for seed in range(60):
+            for mode in ("syntactic", "semantic"):
+                doc = dict(random_scenario_document(seed), mode=mode)
+                first = verify(load_scenario(doc))
+                second = verify(load_scenario(_hop_inserted(doc)))
+                case = (seed, mode)
+                assert second.deliveries == first.deliveries, case
+                assert second.verdict == first.verdict, case
+                assert second.missing == first.missing, case
+                assert second.spurious == first.spurious, case
+                delivered += len(first.deliveries)
+        assert delivered > 0
 
 
 def _reversed_order(ids) -> dict[str, str]:
