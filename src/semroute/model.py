@@ -310,7 +310,8 @@ class Event:
     """An ordered list of attribute-value pairs.
 
     The parser rejects duplicate attribute names; events built directly (for
-    example by semantic augmentation) may carry several pairs per attribute.
+    example by `semantic.normalize_event`, where synonyms can merge two
+    attributes into one) may carry several pairs per attribute.
     """
 
     pairs: tuple[Pair, ...]
@@ -356,11 +357,6 @@ class Advertisement:
 
     predicates: tuple[Predicate, ...]
     id: str = field(default="", compare=False)
-
-    @cached_property
-    def by_attribute(self) -> dict[str, list[Predicate]]:
-        """The predicates keyed by attribute, built on first use and kept."""
-        return group_by_attribute((p.attribute, p) for p in self.predicates)
 
 
 Entity = Union[Event, Subscription, Advertisement]

@@ -46,11 +46,9 @@ it is off the oracle's and the mapping-gap check's in `sim`: only the CLI
 and the tests fill it, and it keeps at most 1,024 entries.
 Publish admission (`sem_admits`, and `sem_determines` for one
 advertisement) normalizes each event pair once per publish, however many
-advertisements are asked, and asks each advertisement's normal form for
-the `syntactic.Gate` at the pair's attribute, over the advertised
-predicates there and at its ancestors (`syntactic.AdmissionGates`, kept on
-the normal form under the knowledge base), whether it admits the pair's
-value or one of its ancestor terms (`Gate.admits`).
+advertisements are asked, and asks the kernel, `syntactic.determines`,
+once per advertisement's normal form whether it admits every pair; the
+kernel keeps the gates that decide this on the normal form.
 """
 
 from __future__ import annotations
@@ -72,10 +70,10 @@ from .model import (
     kept,
 )
 from .syntactic import (
-    AdmissionGates,
     Implied,
     all_implied,
     covers,
+    determines,
     implied_by_values,
     intersects,
 )
@@ -255,21 +253,12 @@ def sem_admits(
     advertisements: Iterable[Advertisement], event: Event, kb: KnowledgeBase
 ) -> bool:
     """True iff some advertisement `sem_determines` the event; each pair is
-    normalized once, however many advertisements are asked, and each
-    advertisement's normal form keeps its admission gates under `kb`."""
+    normalized once, however many advertisements are asked."""
     pairs = [
         (kb.root_term(pair.attribute), normalize_value(pair.value, kb))
         for pair in event.pairs
     ]
-    for adv in advertisements:
-        gates = kept(normalized(adv, kb), "_admission", kb, AdmissionGates)
-        for attribute, value in pairs:
-            gate = gates[attribute]
-            if gate is None or not gate.admits(value, kb):
-                break
-        else:
-            return True
-    return False
+    return any(determines(normalized(adv, kb), pairs, kb) for adv in advertisements)
 
 
 def sem_determines(adv: Advertisement, event: Event, kb: KnowledgeBase) -> bool:

@@ -13,7 +13,7 @@ hierarchy: `Implied` says which predicates a set of predicates implies, and
 predicates, split by `model.split_by_operator`.  A `Gate` answers two
 questions of an advertisement: which subscription predicates it meets
 (gating, `intersects`) and which event pairs it admits (publish admission,
-`semantic.sem_admits`).
+`determines`).
 
 - One predicate implies another when every pair matching the first matches
   the second (exact over integer intervals, equality, and inequality).
@@ -29,9 +29,10 @@ entity (`model.kept`, under the knowledge base asked), built on first use,
 so a test makes a few lookups per predicate instead of a scan of the other
 side: `covers` keeps an `Implied` per attribute of the covered subscription
 and its ancestors, `intersects` a `Gate` per subscription attribute asked
-of the advertisement (`_Gates`), and publish admission a `Gate` per event
-attribute asked of it (`AdmissionGates`, a `_Gates` that merges fewer
-attributes).  Nothing here keeps anything on an event.
+of the advertisement (`_Gates`), and `determines` a `Gate` per event
+attribute asked of it (`_AdmissionGates`, a `_Gates` that merges fewer
+attributes).  Each gate keeps the knowledge base it was built under.
+Nothing here keeps anything on an event.
 
 The side that must be implied is a subscription, compiled once into one
 requirement row per attribute (`Subscription.requirement`: its `=` and
@@ -45,7 +46,7 @@ references grade the rows rather than share them.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .knowledge import KnowledgeBase
 from .model import (
@@ -261,9 +262,9 @@ class Gate:
     `admits(v)` asks the second question, of publish admission: is a
     normalized event pair with value v admitted, that is, does some value
     on v's chain (v and, for a string, its ancestor terms) satisfy some
-    gate predicate ap?  `AdmissionGates` builds the gate at the pair's
-    attribute over the advertised predicates at that attribute and its
-    ancestors.  By operator of ap, with its value w:
+    gate predicate ap?  `determines` asks it of the gate at the pair's
+    attribute, over the advertised predicates at that attribute and its
+    ancestors (`_AdmissionGates`).  By operator of ap, with its value w:
 
       - (= w): v == w, or w a string term that is a strict ancestor of v;
       - (!= w): some chain value differs from w: a `!=` value other than v,
@@ -285,9 +286,10 @@ class Gate:
         an upper-bounded one `bottom` at or below it.
     """
 
-    __slots__ = ("values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
+    __slots__ = ("kb", "values", "terms", "up", "excluded", "lo", "hi", "bottom", "top")
 
     def __init__(self, preds: Iterable[Predicate], kb: KnowledgeBase):
+        self.kb = kb
         equal, unequal, lows, highs = split_by_operator(preds)
         self.values: set[Value] = set(equal)
         self.excluded: set[Value] = set(unequal)
@@ -299,8 +301,8 @@ class Gate:
         self.bottom: Optional[int] = min(lows + ints, default=None)
         self.top: Optional[int] = max(highs + ints, default=None)
 
-    def meets(self, sp: Predicate, kb: KnowledgeBase) -> bool:
-        v = sp.value
+    def meets(self, sp: Predicate) -> bool:
+        kb, v = self.kb, sp.value
         if sp.op is RelOp.EQ:
             if _holds_other(self.excluded, v):
                 return True
@@ -329,7 +331,7 @@ class Gate:
             return self.lo is not None or (self.top is not None and lo <= self.top)
         return self.hi is not None or (self.bottom is not None and self.bottom <= hi)
 
-    def admits(self, v: Value, kb: KnowledgeBase) -> bool:
+    def admits(self, v: Value) -> bool:
         if v in self.values or _holds_other(self.excluded, v):
             return True
         # Asked of every pair of every publication loaded, so the kind is
@@ -340,7 +342,7 @@ class Gate:
                 self.hi is not None and v.data <= self.hi
             )
         if kind is ValueKind.STRING:
-            above = kb.ancestors(v.data)
+            above = self.kb.ancestors(v.data)
             return bool(above) and (
                 bool(self.excluded) or not self.terms.isdisjoint(above)
             )
@@ -358,27 +360,22 @@ class _Gates(dict):
 
     def __init__(self, adv: Advertisement, kb: KnowledgeBase):
         super().__init__()
-        self.predicates = adv.by_attribute
+        self.predicates = group_by_attribute((p.attribute, p) for p in adv.predicates)
         self.kb = kb
 
-    @staticmethod
-    def merged(
-        kb: KnowledgeBase, attribute: str, advertised: Collection[str]
-    ) -> list[str]:
+    def merged(self, attribute: str) -> list[str]:
         """The advertised attributes whose predicates the gate at
         `attribute` merges: every one comparable with it."""
-        return [a for a in advertised if kb.comparable(attribute, a)]
+        return [a for a in self.predicates if self.kb.comparable(attribute, a)]
 
     def __missing__(self, attribute: str) -> Optional[Gate]:
-        kb, advertised = self.kb, self.predicates
-        preds = [
-            p for a in self.merged(kb, attribute, advertised) for p in advertised[a]
-        ]
-        gate = self[attribute] = Gate(preds, kb) if preds else None
+        advertised = self.predicates
+        preds = [p for a in self.merged(attribute) for p in advertised[a]]
+        gate = self[attribute] = Gate(preds, self.kb) if preds else None
         return gate
 
 
-class AdmissionGates(_Gates):
+class _AdmissionGates(_Gates):
     """An advertisement's gates for publish admission: at each event
     attribute asked, the `Gate` over the predicates at that attribute and
     its ancestors, whose `admits` decides a pair there.  A predicate at a
@@ -387,13 +384,11 @@ class AdmissionGates(_Gates):
 
     __slots__ = ()
 
-    @staticmethod
-    def merged(
-        kb: KnowledgeBase, attribute: str, advertised: Collection[str]
-    ) -> list[str]:
+    def merged(self, attribute: str) -> list[str]:
         """The attribute and its ancestors, those advertised: each a such
         that `kb.is_descendant_or_equal(attribute, a)`."""
-        return [a for a in (attribute, *kb.ancestors(attribute)) if a in advertised]
+        chain = (attribute, *self.kb.ancestors(attribute))
+        return [a for a in chain if a in self.predicates]
 
 
 def intersects(
@@ -413,6 +408,22 @@ def intersects(
     gates = kept(adv, "_gates", kb, _Gates)
     for sp in sub.predicates:
         gate = gates[sp.attribute]
-        if gate is None or not gate.meets(sp, kb):
+        if gate is None or not gate.meets(sp):
+            return False
+    return True
+
+
+def determines(
+    adv: Advertisement,
+    pairs: Iterable[tuple[str, Value]],
+    kb: KnowledgeBase = _EMPTY,
+) -> bool:
+    """True iff some adv predicate admits each event pair (`Gate.admits`),
+    with matching lifted through `kb`'s hierarchy; both must be in its root
+    form.  adv keeps its gates under `kb` (`_AdmissionGates`)."""
+    gates = kept(adv, "_admission", kb, _AdmissionGates)
+    for attribute, value in pairs:
+        gate = gates[attribute]
+        if gate is None or not gate.admits(value):
             return False
     return True

@@ -77,6 +77,25 @@ SEMANTIC_ALPHABET = [
     ("publish", '{(x, 1), (t, "bb")}'),
 ]
 
+# The synonym and value hierarchy of `KNOWLEDGE`, an attribute hierarchy
+# (`s` under `t`) and no mapping: `!=` on strings and booleans, with values
+# and attributes lifted.
+HIERARCHY_KNOWLEDGE = {
+    "synonyms": [{"root": "b", "members": ["bb"]}],
+    "hierarchy": [{"child": "b", "parent": "a"}, {"child": "s", "parent": "t"}],
+}
+HIERARCHY_ALPHABET = [
+    ("advertise", '(s = "b") AND (s = true)'),
+    ("advertise", '(t != "a")'),
+    ("subscribe", '(t = "a")'),
+    ("subscribe", '(t != "b")'),
+    ("subscribe", '(s != "bb")'),
+    ("subscribe", "(t != true)"),
+    ("publish", '{(s, "bb")}'),
+    ("publish", "{(s, true)}"),
+    ("publish", '{(t, "a")}'),
+]
+
 # mode, knowledge, alphabet, documents that load, and their verdicts.
 SCOPES = {
     "syntactic": (
@@ -92,6 +111,13 @@ SCOPES = {
         SEMANTIC_ALPHABET,
         333,
         {"PASS": 237, "MAPPING_GAP": 72, "FAIL": 24},
+    ),
+    "hierarchy": (
+        "semantic",
+        HIERARCHY_KNOWLEDGE,
+        HIERARCHY_ALPHABET,
+        444,
+        {"PASS": 372, "FAIL": 72},
     ),
 }
 

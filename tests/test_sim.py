@@ -618,11 +618,28 @@ def _hop_inserted(doc: dict) -> dict:
 
 class TestOverlayInvariance:
     """Metamorphic: a generated document has no mappings, so the order of an
-    event's pairs changes no verified report; and a broker with no clients
+    event's pairs changes no verified report; a broker with no clients
     only relays, so inserting one on an edge changes the message counts by
-    the extra hop but not the deliveries, the misses or the verdict.
+    the extra hop but not the deliveries, the misses or the verdict; and
+    syntactic mode is semantic mode over an empty knowledge base.
     Generated documents give every broker a client, so nothing else here
     routes through a client-less broker."""
+
+    def test_syntactic_mode_is_semantic_over_no_knowledge(self):
+        for seed in range(100):
+            doc = random_scenario_document(seed)
+            syntactic, semantic = (
+                json.loads(verify(load_scenario(other)).to_json())
+                for other in (
+                    dict(doc, mode="syntactic"),
+                    dict(doc, mode="semantic", knowledge={}),
+                )
+            )
+            assert (syntactic.pop("mode"), semantic.pop("mode")) == (
+                "syntactic",
+                "semantic",
+            ), seed
+            assert semantic == syntactic, seed
 
     def test_reversed_pairs_give_the_same_report(self):
         reversed_payloads = 0
@@ -652,6 +669,58 @@ class TestOverlayInvariance:
                 assert second.spurious == first.spurious, case
                 delivered += len(first.deliveries)
         assert delivered > 0
+
+
+def _with_new_edge(doc: dict, rng: random.Random) -> dict | None:
+    """The document with one more hierarchy edge `child -> parent` between
+    root terms of its knowledge base, where `child` has no parent and
+    `parent` does not lie below `child`; None when no such edge exists."""
+    knowledge = doc["knowledge"]
+    parent_of = {e["child"]: e["parent"] for e in knowledge["hierarchy"]}
+    terms = sorted(
+        {s["root"] for s in knowledge["synonyms"]}
+        | set(parent_of)
+        | set(parent_of.values())
+    )
+
+    def below(term: str, ancestor: str) -> bool:
+        while term != ancestor and term in parent_of:
+            term = parent_of[term]
+        return term == ancestor
+
+    edges = [
+        (child, parent)
+        for child in terms
+        if child not in parent_of
+        for parent in terms
+        if not below(parent, child)
+    ]
+    if not edges:
+        return None
+    child, parent = rng.choice(edges)
+    hierarchy = [*knowledge["hierarchy"], {"child": child, "parent": parent}]
+    return dict(doc, knowledge=dict(knowledge, hierarchy=hierarchy))
+
+
+class TestHierarchyGrowth:
+    """Metamorphic: a hierarchy edge only adds generalizations to augmented
+    events, so adding one never removes a delivery, and routing still
+    delivers every one the oracle expects."""
+
+    def test_a_new_edge_removes_no_delivery(self):
+        gained = 0
+        for seed in range(100):
+            doc = dict(random_scenario_document(seed), mode="semantic")
+            other = _with_new_edge(doc, random.Random(seed))
+            if other is None:
+                continue
+            before = oracle_deliveries(load_scenario(doc))
+            scenario = load_scenario(other)
+            after = oracle_deliveries(scenario)
+            assert after >= before, seed
+            assert verify(scenario).verdict == Verdict.PASS.value, seed
+            gained += after != before
+        assert gained > 0
 
 
 def _reversed_order(ids) -> dict[str, str]:
