@@ -26,14 +26,17 @@ synonym members there instead of normalizing twice.
 
 Mapping bodies are a closed set of combinators so evaluation always
 terminates: RENAME copies an input value under a new attribute, CONST emits
-a fixed value, LINEAR computes scale*x + offset over one integer input, and
-YEARS_SINCE computes reference_year - x.
+a fixed value, and LINEAR computes scale*x + offset over one integer input.
+The loader reads a `years_since` body, reference_year - x, as LINEAR with
+scale -1 and offset reference_year, so a mapping reads only the event's
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from itertools import product
+from typing import Collection, Iterable, Mapping, Optional, Union
 
 from .model import (
     INT_MAX,
@@ -85,12 +88,7 @@ class Linear:
     offset: int
 
 
-@dataclass(frozen=True)
-class YearsSince:
-    input: str
-
-
-MappingBody = Union[Rename, Const, Linear, YearsSince]
+MappingBody = Union[Rename, Const, Linear]
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ class KnowledgeBase:
                 self._require_root_form(f.name, f.guard.attribute)
                 if f.guard.value.is_string:
                     self._require_root_form(f.name, f.guard.value.data)
-            if isinstance(f.body, (Rename, Linear, YearsSince)):
+            if isinstance(f.body, (Rename, Linear)):
                 if f.body.input not in f.inputs:
                     raise KnowledgeError(
                         f"mapping {excerpt(f.name)} body input is not a declared input"
@@ -295,27 +293,30 @@ def _term(term: object, where: str, key: str) -> str:
     return read_name(term, f"{where}: {key}", KnowledgeError).lower()
 
 
-def _parse_body(raw: object, where: str) -> MappingBody:
+# The keys each mapping body holds besides its kind.
+_BODY_KEYS = {
+    "rename": ("input",),
+    "const": ("value",),
+    "linear": ("input", "scale", "offset"),
+    "years_since": ("input",),
+}
+
+
+def _parse_body(raw: object, where: str, reference_year: int) -> MappingBody:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise KnowledgeError(f"{where}: body must be an object with a kind")
     kind = raw["kind"]
-    if kind in ("rename", "years_since") and "input" not in raw:
-        raise KnowledgeError(f"{where}: {kind} body needs an input")
-    if kind == "rename":
-        return Rename(_term(raw["input"], where, "input"))
+    if not (isinstance(kind, str) and kind in _BODY_KEYS):
+        raise KnowledgeError(f"{where}: unknown mapping body kind {excerpt(kind)}")
+    read_object(raw, ("kind", *_BODY_KEYS[kind]), (), KnowledgeError, f"{where}.body")
     if kind == "const":
-        if "value" not in raw:
-            raise KnowledgeError(f"{where}: const body needs a value")
         return Const(_json_value(raw["value"], where))
     if kind == "linear":
-        if not {"input", "scale", "offset"} <= raw.keys():
-            raise KnowledgeError(f"{where}: linear body needs input/scale/offset")
         if not (_is_int(raw["scale"]) and _is_int(raw["offset"])):
             raise KnowledgeError(f"{where}: linear scale and offset must be integers")
         return Linear(_term(raw["input"], where, "input"), raw["scale"], raw["offset"])
-    if kind == "years_since":
-        return YearsSince(_term(raw["input"], where, "input"))
-    raise KnowledgeError(f"{where}: unknown mapping body kind {excerpt(kind)}")
+    source = _term(raw["input"], where, "input")
+    return Rename(source) if kind == "rename" else Linear(source, -1, reference_year)
 
 
 def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
@@ -346,6 +347,10 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
         parent = _term(raw["parent"], where, "parent")
         edges.append((child, parent))
 
+    reference_year = data.get("reference_year", 0)
+    if not _is_int(reference_year):
+        raise KnowledgeError("reference_year must be an integer")
+
     mappings = []
     for i, raw in enumerate(list_field(data, "mappings", KnowledgeError)):
         where = f"mappings[{i}]"
@@ -364,54 +369,55 @@ def load_knowledge(document: Union[bytes, str, dict]) -> KnowledgeBase:
                 inputs=tuple(a.lower() for a in inputs),
                 guard=guard,
                 output=_term(raw["output"], where, "output"),
-                body=_parse_body(raw["body"], where),
+                body=_parse_body(raw["body"], where, reference_year),
             )
         )
-
-    reference_year = data.get("reference_year", 0)
-    if not _is_int(reference_year):
-        raise KnowledgeError("reference_year must be an integer")
 
     return KnowledgeBase(groups, edges, mappings, reference_year)
 
 
 def apply_mapping(
-    f: MappingFunction,
-    values: Mapping[str, Iterable[Value]],
-    reference_year: int,
-) -> Optional[Pair]:
+    f: MappingFunction, values: Mapping[str, Collection[Value]]
+) -> list[Pair]:
     """Evaluate one mapping function against an event's values by attribute.
 
-    Every input attribute must carry a value; when it carries several
-    (augmented events), the first is bound.  Returns None when an input is
-    absent, the guard fails, or an arithmetic body meets a non-integer
-    input.
+    The function runs once per combination of its inputs' values
+    (augmented events carry several at one attribute), taking each input's
+    values in canonical order, so the outputs do not depend on the order of
+    the event's pairs.
+    A combination yields nothing when the guard fails or an arithmetic body
+    meets a non-integer input; an absent input yields nothing at all.  A
+    `MappingEvaluationError` may come from any combination, not only the
+    first.
     """
-    bound: dict[str, Value] = {}
+    columns = []
     for attr in f.inputs:
-        first = next(iter(values.get(attr, ())), None)
-        if first is None:
-            return None
-        bound[attr] = first
+        held = values.get(attr, ())
+        if not held:
+            return []
+        if len(held) > 1:
+            held = sorted(held, key=lambda v: (v.kind.value, v.data))
+        columns.append(held)
+    outputs = (_evaluate(f, dict(zip(f.inputs, c))) for c in product(*columns))
+    return [Pair(f.output, value) for value in outputs if value is not None]
+
+
+def _evaluate(f: MappingFunction, bound: dict[str, Value]) -> Optional[Value]:
+    """The mapping's output over one value per input, or None."""
     guard = f.guard
     if guard is not None and not guard.op.holds(bound[guard.attribute], guard.value):
         return None
-
     body = f.body
-    if isinstance(body, Rename):
-        return Pair(f.output, bound[body.input])
     if isinstance(body, Const):
-        return Pair(f.output, body.value)
-
+        return body.value
     source = bound[body.input]
+    if isinstance(body, Rename):
+        return source
     if not source.is_int:
         return None
-    if isinstance(body, Linear):
-        result = body.scale * source.data + body.offset
-    else:
-        result = reference_year - source.data
+    result = body.scale * source.data + body.offset
     try:
-        return Pair(f.output, Value.integer(result))
+        return Value.integer(result)
     except ValueError:
         raise MappingEvaluationError(
             f.name, f"result {result} exceeds the 64-bit range"

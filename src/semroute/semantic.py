@@ -7,8 +7,9 @@ Matching an event against a subscription semantically proceeds in stages:
 2. Hierarchy augmentation adds, for each event pair, all generalizations
    reachable by climbing the concept hierarchy at the attribute and (for
    string values) the value position.
-3. Mapping augmentation evaluates each knowledge-base mapping function once
-   against the pairs visible after stage 2 and appends any outputs.
+3. Mapping augmentation evaluates each knowledge-base mapping function on
+   every combination of its inputs' values visible after stage 2 and
+   appends any outputs.
 
 The augmented event then matches the subscription at plain syntax level.
 Generalization is one-way: a subscription mentioning a specialized term is
@@ -163,9 +164,9 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
     The event must already be synonym-normalized.  For each base pair the
     full cross product of the attribute's ancestor chain and the value's
     ancestor chain is added (minus the pair itself and any duplicates).
-    Mapping functions each run at most once, in document order, over the
-    base and hierarchy-added pairs only; their outputs do not feed later
-    functions.
+    Mapping functions run in document order over the base and
+    hierarchy-added pairs only, on every combination of their inputs'
+    values (`apply_mapping`); their outputs do not feed later functions.
 
     The pass fills the values by attribute (`AugmentedEvent.values`) and
     records each added pair in the order it was added.
@@ -184,10 +185,8 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
                     order.append((attribute, v))
 
     # Every mapping reads the values before any output joins them.
-    outputs = [apply_mapping(f, values, kb.reference_year) for f in kb.mappings]
+    outputs = [pair for f in kb.mappings for pair in apply_mapping(f, values)]
     for output in outputs:
-        if output is None:
-            continue
         held = values.setdefault(output.attribute, {})
         if output.value not in held:
             held[output.value] = Provenance.MAPPING
@@ -214,10 +213,7 @@ def _other_normal_form(
 ) -> Optional[_Predicated]:
     """The entity's normal form, or None when that is the entity itself,
     which kept on the entity would be a reference cycle."""
-    if isinstance(entity, Advertisement):
-        normal = normalize_advertisement(entity, kb)
-    else:
-        normal = normalize_subscription(entity, kb)
+    normal = _over_root_terms(entity, kb)
     return None if normal is entity else normal
 
 

@@ -265,20 +265,30 @@ no-match
             "--mode", "semantic", "--knowledge", str(kb),
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and "needs an input" in err
+        assert err.startswith("error:") and "mappings[0].body: need kind, input" in err
 
-    def test_mapping_overflow_exits_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "body, year, event, result",
+        [
+            ({"kind": "linear", "input": "a", "scale": 2**63 - 1, "offset": 0},
+             0, "{(a, 2)}", 2**64 - 2),
+            # years_since is read as linear, and keeps its range check.
+            ({"kind": "years_since", "input": "a"},
+             2003, "{(a, -9223372036854775808)}", 2**63 + 2003),
+        ],
+        ids=["linear", "years_since"],
+    )
+    def test_mapping_overflow_exits_two(self, capsys, tmp_path, body, year, event, result):
         kb = tmp_path / "kb.json"
         kb.write_text(json.dumps({"mappings": [
-            {"name": "f", "inputs": ["a"], "output": "b",
-             "body": {"kind": "linear", "input": "a", "scale": 2**63 - 1, "offset": 0}}
-        ]}))
+            {"name": "f", "inputs": ["a"], "output": "b", "body": body}
+        ], "reference_year": year}))
         code, out, err = run_cli(
-            capsys, "match", "{(a, 2)}", "(b > 0)",
+            capsys, "match", event, "(b > 0)",
             "--mode", "semantic", "--knowledge", str(kb),
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: mapping 'f'") and "64-bit range" in err
+        assert err == f"error: mapping 'f': result {result} exceeds the 64-bit range\n"
 
     @pytest.mark.parametrize("raw", UNDECODABLE, ids=UNDECODABLE_IDS)
     def test_undecodable_knowledge_exits_two(self, capsys, tmp_path, raw):

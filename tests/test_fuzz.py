@@ -19,10 +19,13 @@ same entity and id, or the same error at the same position.
 """
 
 import copy
+import functools
 import itertools
 import json
+import operator
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +169,41 @@ def test_scenario_loader_raises_only_scenario_error(document):
         load_scenario(document)
     except ScenarioError:
         pass
+
+
+def objects(document):
+    """The path to the document and to every object nested in it."""
+    for path in [(), *positions(document)]:
+        if isinstance(functools.reduce(operator.getitem, path, document), dict):
+            yield path
+
+
+def with_unknown_key(document, path):
+    """A copy of `document` whose object at `path` also holds the key `zz`."""
+    document = copy.deepcopy(document)
+    functools.reduce(operator.getitem, path, document)["zz"] = 1
+    return document
+
+
+# Each object the loaders read, by its path in the document.
+UNKNOWN_KEY_CASES = {
+    "/".join(map(str, (name, *path))): (loader, document, error, path)
+    for name, loader, document, error in [
+        ("knowledge", load_knowledge, KNOWLEDGE, KnowledgeError),
+        ("scenario", load_scenario, SCENARIO, ScenarioError),
+    ]
+    for path in objects(document)
+}
+
+
+@pytest.mark.parametrize(
+    "loader, document, error, path",
+    UNKNOWN_KEY_CASES.values(),
+    ids=list(UNKNOWN_KEY_CASES),
+)
+def test_an_unknown_key_is_rejected_in_every_object(loader, document, error, path):
+    with pytest.raises(error, match="unknown keys"):
+        loader(with_unknown_key(document, path))
 
 
 # Raw bytes -------------------------------------------------------------

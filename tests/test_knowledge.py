@@ -12,7 +12,6 @@ from semroute.knowledge import (
     MappingFunction,
     Rename,
     SynonymGroup,
-    YearsSince,
     apply_mapping,
     load_knowledge,
 )
@@ -69,7 +68,7 @@ class TestExampleDocument:
         assert f1.name == "f1"
         assert f1.inputs == ("work experience", "graduation date")
         assert f1.output == "professional experience"
-        assert isinstance(f1.body, YearsSince)
+        assert f1.body == Linear("graduation date", -1, 2003)
         assert example_kb.reference_year == 2003
 
     def test_without_mappings_keeps_everything_else(self, example_kb):
@@ -314,7 +313,7 @@ class TestLoaderValidation:
     @pytest.mark.parametrize("kind", ["rename", "years_since"])
     def test_body_without_input(self, kind):
         bad = {"name": "f", "inputs": ["a"], "output": "b", "body": {"kind": kind}}
-        with pytest.raises(KnowledgeError, match="needs an input"):
+        with pytest.raises(KnowledgeError, match="body: need kind, input"):
             load_knowledge(doc(mappings=[bad]))
 
     @pytest.mark.parametrize("key", ["synonyms", "hierarchy", "mappings"])
@@ -342,10 +341,18 @@ class TestLoaderValidation:
         with pytest.raises(KnowledgeError, match=f"{key} must be a non-empty string"):
             load_knowledge(doc(**{section: [{**entry, key: bad}]}))
 
-    @pytest.mark.parametrize("kind", ["rename", "linear", "years_since"])
-    def test_body_input_must_be_a_string(self, kind):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "rename"},
+            {"kind": "linear", "scale": 1, "offset": 0},
+            {"kind": "years_since"},
+        ],
+        ids=["rename", "linear", "years_since"],
+    )
+    def test_body_input_must_be_a_string(self, body):
         # "5" is a declared input, so only the coercion of 5 could load it.
-        body = {"kind": kind, "input": 5, "scale": 1, "offset": 0}
+        body = {**body, "input": 5}
         bad = {"name": "f", "inputs": ["5"], "output": "b", "body": body}
         with pytest.raises(KnowledgeError, match="input must be a non-empty string"):
             load_knowledge(doc(mappings=[bad]))
@@ -491,61 +498,70 @@ class TestApplyMapping:
         event = parse_event(
             '{(university, "y"), ("work experience", true), ("graduation date", 1990)}'
         )
-        out = apply_mapping(years_since_f1(example_kb), _values(event), 2003)
-        assert out == Pair("professional experience", Value.integer(13))
+        out = apply_mapping(years_since_f1(example_kb), _values(event))
+        assert out == [Pair("professional experience", Value.integer(13))]
 
     def test_missing_input_yields_nothing(self, example_kb):
         event = parse_event('{("work experience", true)}')
-        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event)) == []
 
     def test_failing_guard_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", false), ("graduation date", 1990)}'
         )
-        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event)) == []
 
     def test_non_integer_source_yields_nothing(self, example_kb):
         event = parse_event(
             '{("work experience", true), ("graduation date", "unknown")}'
         )
-        assert apply_mapping(years_since_f1(example_kb), _values(event), 2003) is None
+        assert apply_mapping(years_since_f1(example_kb), _values(event)) == []
 
-    def test_first_occurrence_is_bound(self, example_kb):
-        values = {
-            "work experience": [Value.boolean(True)],
-            "graduation date": [Value.integer(2000), Value.integer(1990)],
-        }
-        out = apply_mapping(years_since_f1(example_kb), values, 2003)
-        assert out == Pair("professional experience", Value.integer(3))
+    def test_every_value_is_bound_in_canonical_order(self, example_kb):
+        dates = [Value.integer(2000), Value.integer(1990)]
+        expected = [
+            Pair("professional experience", Value.integer(13)),
+            Pair("professional experience", Value.integer(3)),
+        ]
+        for held in (dates, dates[::-1]):
+            values = {"work experience": [Value.boolean(True)], "graduation date": held}
+            assert apply_mapping(years_since_f1(example_kb), values) == expected
+
+    def test_guard_is_checked_per_combination(self, example_kb):
+        flags = [Value.boolean(False), Value.boolean(True)]
+        for held in (flags, flags[::-1]):
+            values = {"work experience": held, "graduation date": [Value.integer(1990)]}
+            out = apply_mapping(years_since_f1(example_kb), values)
+            assert out == [Pair("professional experience", Value.integer(13))]
 
     def test_rename(self):
         f = MappingFunction("r", ("a",), None, "b", Rename("a"))
-        out = apply_mapping(f, {"a": [Value.string("x")]}, 0)
-        assert out == Pair("b", Value.string("x"))
+        out = apply_mapping(f, {"a": [Value.string("x")]})
+        assert out == [Pair("b", Value.string("x"))]
 
     def test_const(self):
         f = MappingFunction("c", ("a",), None, "b", Const(Value.boolean(True)))
-        out = apply_mapping(f, {"a": [Value.integer(1)]}, 0)
-        assert out == Pair("b", Value.boolean(True))
+        out = apply_mapping(f, {"a": [Value.integer(1)]})
+        assert out == [Pair("b", Value.boolean(True))]
 
     def test_linear(self):
         f = MappingFunction("l", ("a",), None, "b", Linear("a", scale=3, offset=-2))
-        out = apply_mapping(f, {"a": [Value.integer(10)]}, 0)
-        assert out == Pair("b", Value.integer(28))
+        out = apply_mapping(f, {"a": [Value.integer(10)]})
+        assert out == [Pair("b", Value.integer(28))]
 
     def test_overflow_is_an_error(self):
         f = MappingFunction("l", ("a",), None, "b", Linear("a", scale=2, offset=0))
         with pytest.raises(MappingEvaluationError) as info:
-            apply_mapping(f, {"a": [Value.integer(INT_MAX)]}, 0)
+            apply_mapping(f, {"a": [Value.integer(INT_MAX)]})
         assert info.value.function_name == "l"
 
     def test_guard_with_ordering_operator(self):
         guard = Predicate("a", RelOp.GE, Value.integer(10))
         f = MappingFunction("g", ("a",), guard, "b", Rename("a"))
-        assert apply_mapping(f, {"a": [Value.integer(9)]}, 0) is None
-        assert apply_mapping(f, {"a": [Value.integer(10)]}, 0) == Pair(
-            "b", Value.integer(10)
-        )
+        assert apply_mapping(f, {"a": [Value.integer(9)]}) == []
+        assert apply_mapping(f, {"a": [Value.integer(10)]}) == [
+            Pair("b", Value.integer(10))
+        ]
 
 
 class TestIdentitySemantics:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from semroute.knowledge import (
     KnowledgeBase,
+    Linear,
     MappingFunction,
     Rename,
     apply_mapping,
@@ -46,7 +48,7 @@ from semroute.semantic import (
     subscription_attributes,
 )
 from semroute.sim import load_scenario, oracle_deliveries, run
-from semroute.syntactic import covers, intersects
+from semroute.syntactic import Implied, covers, intersects
 
 from .bruteforce import (
     covering_counterexample,
@@ -450,8 +452,8 @@ def _augmentation_case(draw):
 def _reference_augment(event: Event, kb: KnowledgeBase) -> list[tuple[Pair, Provenance]]:
     """Augmentation pair by pair: each base pair's attribute and value chains
     crossed, skipping pairs seen before (the base pairs among them), then
-    each mapping over the base and hierarchy-added pairs, its inputs bound
-    to their first occurrence there."""
+    each mapping over the base and hierarchy-added pairs, once per
+    combination of its inputs' values there, each input's values sorted."""
     seen = set(event.pairs)
     added: list[tuple[Pair, Provenance]] = []
     for pair in event.pairs:
@@ -464,15 +466,14 @@ def _reference_augment(event: Event, kb: KnowledgeBase) -> list[tuple[Pair, Prov
                 if candidate not in seen:
                     seen.add(candidate)
                     added.append((candidate, Provenance.HIERARCHY))
-    visible = list(event.pairs) + [p for p, _ in added]
+    visible = group_by_attribute((p.attribute, p.value) for p in [*event.pairs, *(p for p, _ in added)])
     for f in kb.mappings:
-        first = {}
-        for p in visible:
-            first.setdefault(p.attribute, [p.value])
-        output = apply_mapping(f, first, kb.reference_year)
-        if output is not None and output not in seen:
-            seen.add(output)
-            added.append((output, Provenance.MAPPING))
+        columns = [sorted(visible.get(a, []), key=lambda v: (v.kind.value, v.data)) for a in f.inputs]
+        for combination in itertools.product(*columns):
+            for output in apply_mapping(f, {a: [v] for a, v in zip(f.inputs, combination)}):
+                if output not in seen:
+                    seen.add(output)
+                    added.append((output, Provenance.MAPPING))
     return added
 
 
@@ -530,6 +531,27 @@ class TestAugmentOnce:
         visible = dict.fromkeys((p.attribute, p.value) for p in _visible_pairs(augmented))
         assert {a: list(held) for a, held in augmented.values.items()} == group_by_attribute(visible)
 
+    @PROPERTY
+    @given(
+        _augmentation_case(),
+        st.data(),
+        subscriptions_from(["t0", "t1", "t2", "cost", "fee", "total"], ["t0", "t1", "t2"]),
+    )
+    def test_the_order_of_the_pairs_changes_nothing(self, case, data, sub):
+        kb, event = case
+        # A linear mapping beside the renames, on the same hierarchy term.
+        (source,) = kb.mappings[0].inputs
+        h = MappingFunction("h", (source,), None, "total", Linear(source, 1, 1))
+        kb = KnowledgeBase(kb.synonyms, kb.hierarchy, (*kb.mappings, h), kb.reference_year)
+        permuted = Event(tuple(data.draw(st.permutations(event.pairs))))
+
+        def summary(e: Event) -> dict:
+            implied = semantic.augmented_implied(e, kb)
+            return {a: [getattr(i, s) for s in Implied.__slots__] for a, i in implied.items()}
+
+        assert summary(permuted) == summary(event)
+        assert sem_match.__wrapped__(permuted, sub, kb) == sem_match.__wrapped__(event, sub, kb)
+
     def test_two_spellings_of_one_pair_add_it_once(self, example_kb):
         event = normalize_event(parse_event('{(car, "automobile"), (vehicle, "car")}'), example_kb)
         assert event.pairs[0] == event.pairs[1]
@@ -537,13 +559,18 @@ class TestAugmentOnce:
         assert augmented.added == ()
         assert augmented.values == {"vehicle": {Value.string("vehicle"): None}}
 
-    def test_mapping_inputs_bound_to_their_first_occurrence(self):
+    def test_mapping_runs_on_every_value_of_its_inputs(self):
         kb = KnowledgeBase(
             hierarchy=[("a", "b")],
             mappings=[MappingFunction("f", ("b",), None, "c", Rename("b"))],
         )
-        added = augment(parse_event("{(a, 7), (b, 1)}"), kb).added
-        assert [a.pair for a in added] == [Pair("b", Value.integer(7)), Pair("c", Value.integer(1))]
+        for text in ("{(a, 7), (b, 1)}", "{(b, 1), (a, 7)}"):
+            added = augment(parse_event(text), kb).added
+            assert [a.pair for a in added] == [
+                Pair("b", Value.integer(7)),
+                Pair("c", Value.integer(1)),
+                Pair("c", Value.integer(7)),
+            ]
         added = augment(parse_event("{(a, 7)}"), kb).added
         assert [a.pair for a in added] == [Pair("b", Value.integer(7)), Pair("c", Value.integer(7))]
 
