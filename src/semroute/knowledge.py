@@ -35,7 +35,6 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Collection, Iterable, Mapping, Optional, Union
 
 from .model import (
@@ -381,36 +380,38 @@ def apply_mapping(
 ) -> list[Pair]:
     """Evaluate one mapping function against an event's values by attribute.
 
-    The function runs once per combination of its inputs' values
-    (augmented events carry several at one attribute), taking each input's
-    values in canonical order, so the outputs do not depend on the order of
-    the event's pairs.
-    A combination yields nothing when the guard fails or an arithmetic body
-    meets a non-integer input; an absent input yields nothing at all.  A
-    `MappingEvaluationError` may come from any combination, not only the
-    first.
+    Every input must hold a value (augmented events may hold several at one
+    attribute), or the function yields nothing.  A guard on the body's
+    input keeps the values that pass it; a guard on another input lets the
+    function run only if one of that input's values passes it.  The body
+    then runs once per kept value, in canonical order, and a constant body
+    once, so the work is linear in the event's values and the outputs do
+    not depend on the order of the event's pairs.  A non-integer value
+    yields nothing under an arithmetic body.  A `MappingEvaluationError`
+    comes from the first value, in that order, whose result overflows.
     """
-    columns = []
-    for attr in f.inputs:
-        held = values.get(attr, ())
-        if not held:
+    if not all(values.get(attr) for attr in f.inputs):
+        return []
+    guard, body = f.guard, f.body
+    source = None if isinstance(body, Const) else body.input
+    held = values[source] if source is not None else ()
+    if guard is not None:
+        if guard.attribute == source:
+            held = [v for v in held if guard.op.holds(v, guard.value)]
+        elif not any(guard.op.holds(v, guard.value) for v in values[guard.attribute]):
             return []
-        if len(held) > 1:
-            held = sorted(held, key=lambda v: (v.kind.value, v.data))
-        columns.append(held)
-    outputs = (_evaluate(f, dict(zip(f.inputs, c))) for c in product(*columns))
+    if source is None:
+        return [Pair(f.output, body.value)]
+    if len(held) > 1:
+        held = sorted(held, key=lambda v: (v.kind.value, v.data))
+    outputs = (_evaluate(f, value) for value in held)
     return [Pair(f.output, value) for value in outputs if value is not None]
 
 
-def _evaluate(f: MappingFunction, bound: dict[str, Value]) -> Optional[Value]:
-    """The mapping's output over one value per input, or None."""
-    guard = f.guard
-    if guard is not None and not guard.op.holds(bound[guard.attribute], guard.value):
-        return None
+def _evaluate(f: MappingFunction, source: Value) -> Optional[Value]:
+    """The output of the mapping's rename or linear body on one value of its
+    input, or None."""
     body = f.body
-    if isinstance(body, Const):
-        return body.value
-    source = bound[body.input]
     if isinstance(body, Rename):
         return source
     if not source.is_int:

@@ -12,41 +12,43 @@ both keyed by (id, arrival link), so a repeated arrival is found by one
 lookup and ignored.  Brokers update their tables in place; each handler
 returns the broker it was given with the outgoing messages.
 
-The subscriptions are also grouped by attribute set (root forms), and each
-group is filed under one of its attributes, the deepest in the hierarchy.
-Both walks over the table read this one grouping and visit only the groups
-filed under an attribute that could pass the test at hand.  A subscribe
-tests for covering only the groups within its reach: a stored subscription
-naming an attribute that is neither one of the new subscription's nor an
-ancestor of one cannot cover it.  Nor does it test the entries that
-arrived from the neighbor broker that sent it, which that broker tested
-against it moments earlier, in the same cascade, and found none covering
-(see `handle_subscribe`).  A publish tests only the groups whose
-attributes the event carries: a subscription naming an attribute at which
-the (augmented) event has no value cannot match it.  A subscription keeps
-its attribute sets (`model.kept`, under the knowledge base), so the brokers
-on its path compute them once, and each table entry carries the
-requirement rows of its normal form (`Subscription.requirement`, built
-once however many brokers store it).  The event side is summarised and the
-subscription side compiled: a publish fetches the event's summary
-(`semantic.event_implied`, kept on the event) once per handling and asks
-each candidate entry's rows of it with `requirement_met`, one check per
-attribute, so routing calls neither `sem_match` nor `match_event`; they
-stay imported only because the benchmark's tracer patches them here by
-name.  Outgoing messages follow the order of the broker's clients and
-neighbors, not the walk, so a handler returns the same list whatever the
-walk's order; the simulator's reports do not depend on that order at all
-(see `sim`).  An empty knowledge base (no synonyms, hierarchy or mappings)
-selects the syntactic relations for covering and gating, which equal the
-semantic ones over it, and takes the subscription and the event as their
-own normal forms; any other selects the semantic ones.
+The subscriptions are also listed per arrival link, in arrival order, the
+way a content-based forwarding table keeps one predicate per interface.
+Both walks over the table go link by link and skip the list of the neighbor
+broker that sent the message.  A publish never goes back the way it came,
+and a subscribe need not test for covering the entries from that neighbor,
+which tested them against it moments earlier, in the same cascade, and
+found none covering (see `handle_subscribe`).  Each entry carries its
+attribute set (root forms), so a walk tests only the entries that could
+pass.  A subscribe tests for covering only the entries within its reach: a
+stored subscription naming an attribute that is neither one of the new
+subscription's nor an ancestor of one cannot cover it.  A publish tests
+only the entries whose attributes the event carries: a subscription naming
+an attribute at which the (augmented) event has no value cannot match it.
+A subscription keeps its attribute sets (`model.kept`, under the knowledge
+base), so the brokers on its path compute them once, and each table entry
+carries the requirement rows of its normal form
+(`Subscription.requirement`, built once however many brokers store it).
+The event side is summarised and the subscription side compiled: a publish
+fetches the event's summary (`semantic.event_implied`, kept on the event)
+once per handling and asks each candidate entry's rows of it with
+`requirement_met`, one check per attribute, so routing calls neither
+`sem_match` nor `match_event`; they stay imported only because the
+benchmark's tracer patches them here by name.  Outgoing messages follow the
+order of the broker's clients and neighbors, not the walk, so a handler
+returns the same list whatever the walk's order; the simulator's reports do
+not depend on that order at all (see `sim`).  An empty knowledge base (no
+synonyms, hierarchy or mappings) selects the syntactic relations for
+covering and gating, which equal the semantic ones over it, and takes the
+subscription and the event as their own normal forms; any other selects the
+semantic ones.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator, Optional, Union
+from typing import Union
 
 from .knowledge import KnowledgeBase
 from .model import Advertisement, Event, Row, Subscription, kept
@@ -99,17 +101,12 @@ class Message:
 @dataclass(frozen=True, slots=True)
 class SubscriptionEntry:
     sub: Subscription
-    # The link the subscription arrived on.
-    origin: str
     forwarded_to: frozenset[str]
     # The requirement rows of the subscription's normal form under the
     # broker's knowledge base, which a publication is tested against.
     requirement: tuple[Row, ...]
-
-
-# A table's subscription groups: each attribute set's entries, in arrival
-# order, filed under one attribute of the set (None for the empty set).
-Filed = dict[Optional[str], dict[frozenset[str], list[SubscriptionEntry]]]
+    # The root forms of its attributes, `subscription_attributes`.
+    attributes: frozenset[str]
 
 
 @dataclass
@@ -120,10 +117,9 @@ class BrokerState:
     # The relations' knowledge base; an empty one selects the syntactic ones.
     kb: KnowledgeBase
     subscriptions: dict[Key, SubscriptionEntry] = field(default_factory=dict)
-    # The same entries grouped by `subscription_attributes`, each group filed
-    # under the attribute `_attribute_sets` picks; the covering and publish
-    # walks read these.
-    filed: Filed = field(default_factory=dict)
+    # The same entries listed by arrival link, each list in arrival order;
+    # the covering and publish walks read these.
+    arrived: dict[str, list[SubscriptionEntry]] = field(default_factory=dict)
     advertisements: dict[Key, Advertisement] = field(default_factory=dict)
     suppressed: int = 0
     gated: int = 0
@@ -162,37 +158,15 @@ class BrokerState:
             return intersects(adv, sub)
         return sem_intersects(adv, sub, self.kb)
 
-    def groups_within(
-        self, order: Iterable[str], attributes: AbstractSet[str]
-    ) -> Iterator[list[SubscriptionEntry]]:
-        """The subscription groups filed under an attribute of `order`, in
-        that order, whose attribute sets lie within `attributes`; the empty
-        set's group, filed under None, comes first."""
-        filed = self.filed
-        if None in filed:
-            yield from filed[None].values()
-        for attribute in order:
-            groups = filed.get(attribute)
-            if groups is not None:
-                for key, group in groups.items():
-                    if key <= attributes:
-                        yield group
-
 
 def _attribute_sets(
     sub: Subscription, kb: KnowledgeBase
-) -> tuple[frozenset[str], frozenset[str], Optional[str]]:
-    """The subscription's group key, `subscription_attributes`; the
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The subscription's attributes, `subscription_attributes`, and the
     attributes it reaches, which a subscription covering it must lie
-    within; and the attribute its group is filed under.
-
-    That is the key's deepest attribute in the hierarchy, the first by name
-    among equals: an event carrying an attribute carries its ancestors too,
-    so the deepest is the one carried least often.
-    """
+    within."""
     attributes = subscription_attributes(sub, kb)
-    filing = min(attributes, key=lambda a: (-len(kb.ancestors(a)), a), default=None)
-    return attributes, attribute_reach(attributes, kb), filing
+    return attributes, attribute_reach(attributes, kb)
 
 
 def handle_advertise(
@@ -220,21 +194,21 @@ def handle_subscribe(
     advertisement that arrived from that neighbor intersects it (gating) and
     no subscription previously forwarded to that neighbor covers it
     (suppression).  One walk over the advertisements opens each link at its
-    first intersecting entry.  One walk over the subscription groups whose
-    attributes the new subscription reaches then tests an entry only while
-    it was forwarded to a link still open, and a covering entry suppresses
-    all of those links; the walk ends once a group leaves no link open.
-    Which links end up suppressed does not depend on the order of the walk.
+    first intersecting entry.  One walk over the per-link lists then tests
+    an entry within the new subscription's reach only while it was
+    forwarded to a link still open, and a covering entry suppresses all of
+    those links; the walk ends once a list leaves no link open.  Which links
+    end up suppressed does not depend on the order of the walk.
 
-    The walk skips the entries that arrived from the sender when it is a
-    neighbor broker, never when it is a client, whose other subscriptions
-    can cover this one.  Every entry held from a neighbor was forwarded
-    here by it, and that neighbor tested each one against this
-    subscription before forwarding it here, with this broker's link open,
-    and found none covering.  That rests on two facts: each SUBSCRIBE
-    cascade finishes before the next action starts, so no entry reaches
-    this broker between that test and this walk, and entries are never
-    removed; an unsubscribe must revisit the skip.
+    The walk skips the list of the sender when it is a neighbor broker,
+    never when it is a client, whose other subscriptions can cover this
+    one.  Every entry held from a neighbor was forwarded here by it, and
+    that neighbor tested each one against this subscription before
+    forwarding it here, with this broker's link open, and found none
+    covering.  That rests on two facts: each SUBSCRIBE cascade finishes
+    before the next action starts, so no entry reaches this broker between
+    that test and this walk, and entries are never removed; an unsubscribe
+    must revisit the skip.
     """
     state._check_link(frm)
     if (sub.id, frm) in state.subscriptions:
@@ -247,24 +221,28 @@ def handle_subscribe(
                 closed.discard(origin)
                 live.add(origin)
         state.gated += len(closed)
-    attributes, reach, filing = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
+    attributes, reach = kept(sub, "_attribute_sets", state.kb, _attribute_sets)
     if state.covering_suppression and live:
         # A neighbor sender has tested its entries against sub already.
         skipped = frm if frm in state.neighbors else None
-        for group in state.groups_within(sorted(reach), reach):
-            for e in group:
-                if e.origin == skipped:
-                    continue
-                if not live.isdisjoint(e.forwarded_to) and state._covers(e.sub, sub):
+        for origin, entries in state.arrived.items():
+            if origin == skipped:
+                continue
+            for e in entries:
+                if (
+                    e.attributes <= reach
+                    and not live.isdisjoint(e.forwarded_to)
+                    and state._covers(e.sub, sub)
+                ):
                     state.suppressed += len(live & e.forwarded_to)
                     live -= e.forwarded_to
             if not live:
                 break
     forwarded = [n for n in state.neighbors if n in live]
     requirement = normalized(sub, state.kb).requirement
-    entry = SubscriptionEntry(sub, frm, frozenset(forwarded), requirement)
+    entry = SubscriptionEntry(sub, frozenset(forwarded), requirement, attributes)
     state.subscriptions[sub.id, frm] = entry
-    state.filed.setdefault(filing, {}).setdefault(attributes, []).append(entry)
+    state.arrived.setdefault(frm, []).append(entry)
     out = [
         Message(MessageKind.SUBSCRIBE, sub, frm=state.id, to=n)
         for n in forwarded
@@ -279,31 +257,30 @@ def handle_publish(
 
     At most one copy leaves per link however many subscriptions match there.
     Every client is a candidate, the publisher too; every neighbor except
-    the sender is.  The event's summary is fetched once, and one walk over
-    the subscription groups whose attributes the event carries tests an
-    entry's normal form against it only while the entry's link is still
-    pending, and marks the link at its first match; the walk ends once a
-    group leaves no link pending.  Which links are marked does not depend
-    on the order of the walk.
+    the sender is, since a publication never goes back the way it came.  The
+    event's summary is fetched once, and one walk over the other links'
+    lists tests the normal form of each entry whose attributes the event
+    carries, and marks the link at its first match, leaving the rest of
+    that list untested.  Which links are marked does not depend on the
+    order of the walk.
     """
     state._check_link(frm)
-    pending = set(state.links)
-    if frm in state.neighbors:
-        pending.discard(frm)
-    if not (pending and state.filed):
+    if not state.arrived:
         return state, []
+    skipped = frm if frm in state.neighbors else None
     implied = event_implied(event, state.kb)
+    carried = frozenset(implied)
     matched = set()
     tests = 0
-    for group in state.groups_within(implied, implied.keys()):
-        for e in group:
-            if e.origin in pending:
+    for link, entries in state.arrived.items():
+        if link == skipped:
+            continue
+        for e in entries:
+            if e.attributes <= carried:
                 tests += 1
                 if requirement_met(e.requirement, implied):
-                    pending.discard(e.origin)
-                    matched.add(e.origin)
-        if not pending:
-            break
+                    matched.add(link)
+                    break
     state.publish_tests += tests
     if not matched:
         return state, []

@@ -295,7 +295,9 @@ def sem_intersects(adv: Advertisement, sub: Subscription, kb: KnowledgeBase) -> 
 
     Exact for mapping-free knowledge bases over a value space containing
     the hierarchy terms and integers adjacent to the predicate constants:
-    events may repeat attributes, so satisfiability decomposes into one
+    after normalization and augmentation events may repeat attributes (the
+    parser rejects a repeated attribute, but augmentation adds values at
+    ancestors and mapping outputs), so satisfiability decomposes into one
     witness pair per subscription predicate, each of which must also be
     admitted by some advertisement predicate on a comparable attribute.
     Decided by `syntactic.intersects` over the normal forms (see

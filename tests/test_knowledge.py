@@ -534,6 +534,14 @@ class TestApplyMapping:
             out = apply_mapping(years_since_f1(example_kb), values)
             assert out == [Pair("professional experience", Value.integer(13))]
 
+    def test_one_evaluation_per_value_of_the_body_input(self):
+        # The inputs the body does not read are only checked for presence,
+        # so n values at each of three inputs give n outputs, not n ** 3.
+        f = MappingFunction("l", ("p", "q", "r"), None, "y", Linear("p", 1, 1))
+        held = [Value.integer(i) for i in range(100)]
+        out = apply_mapping(f, {"p": held, "q": held, "r": held})
+        assert out == [Pair("y", Value.integer(i + 1)) for i in range(100)]
+
     def test_rename(self):
         f = MappingFunction("r", ("a",), None, "b", Rename("a"))
         out = apply_mapping(f, {"a": [Value.string("x")]})

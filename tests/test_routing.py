@@ -274,11 +274,10 @@ class TestEntriesFromOneNeighbor:
                 run(load_scenario(dict(random_scenario_document(seed), mode=mode)))
                 assert states, (seed, mode)
                 for state in states:
-                    held: dict[str, list[Subscription]] = {}
-                    for e in state.subscriptions.values():
-                        if e.origin in state.neighbors:
-                            held.setdefault(e.origin, []).append(e.sub)
-                    for subs in held.values():
+                    for link, entries in state.arrived.items():
+                        if link not in state.neighbors:
+                            continue
+                        subs = [e.sub for e in entries]
                         for i, later in enumerate(subs):
                             for earlier in subs[:i]:
                                 pairs += 1
@@ -332,7 +331,7 @@ class TestSubscribeAttributeGroups:
             state, _ = handle_advertise(broker(kb=kb), adv, frm="b1")
             state, _ = handle_subscribe(state, stored, frm="c1")
             state, _ = handle_subscribe(state, later, frm="c1")
-            assert frozenset({key}) in state.filed[key]
+            assert state.subscriptions[later.id, "c1"].attributes == frozenset({key})
             assert state.suppressed == suppressed
 
 
@@ -446,8 +445,8 @@ class TestPublishAttributeGroups:
     def test_syntactic_run_consults_no_synonyms(self, monkeypatch):
         # The scenario's knowledge makes `volume` a synonym of `book`, but a
         # syntactic run routes over the empty knowledge base: `(book >= 5)`
-        # is grouped under `book` and never tested against a `volume` event,
-        # while `(volume >= 5)` is.
+        # names `book`, which a `volume` event does not carry, so it is
+        # never tested against one, while `(volume >= 5)` is.
         scenario = load_scenario(
             {
                 "brokers": ["b1"],
@@ -522,9 +521,9 @@ class TestPublishWalk:
         frm = data.draw(st.sampled_from(links))
         candidates = set(links) - {frm} if frm in state.neighbors else set(links)
         expected = {
-            e.origin
-            for e in state.subscriptions.values()
-            if e.origin in candidates and sem_match.__wrapped__(event, e.sub, kb)
+            link
+            for (_, link), e in state.subscriptions.items()
+            if link in candidates and sem_match.__wrapped__(event, e.sub, kb)
         }
         _, out = handle_publish(state, event, frm=frm, index=0)
         assert [(m.to, m.kind) for m in out] == [o for o in self.OUTLETS if o[0] in expected]
@@ -533,11 +532,46 @@ class TestPublishWalk:
 
     def test_entry_naming_no_attribute_is_tested(self):
         # A subscription built with no predicate has the empty attribute
-        # set, which no attribute files; it matches every event.
+        # set, which every event carries; it matches every event.
         state = broker(clients=("c1", "c2"))
         state, _ = handle_subscribe(state, Subscription((), id="all"), frm="c2")
         _, out = handle_publish(state, EVENT, frm="b1")
         assert [(m.kind, m.to) for m in out] == [(MessageKind.NOTIFY, "c2")]
+
+
+class TestCoveringWalk:
+    """The links a subscribe forwards to are the live neighbors that no
+    covering stored entry was forwarded to, leaving out the entries from a
+    neighbor sender, whatever the table and the knowledge base."""
+
+    LINKS = [link for link, _ in TestPublishWalk.OUTLETS]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["empty", "forest", "mapped"]))
+    def test_forwarded_links_equal_a_scan_of_sem_covers(self, data, which):
+        kb, attrs, terms = TestPublishWalk.pools(data, which)
+        stored = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(self.LINKS), subscriptions_from(attrs, terms, max_preds=3)),
+                max_size=12,
+            )
+        )
+        state = broker(clients=("c1", "c2"), kb=kb, advertisement_gating=False)
+        for i, (link, sub) in enumerate(stored):
+            state, _ = handle_subscribe(state, Subscription(sub.predicates, id=f"s{i}"), frm=link)
+        sub = Subscription(data.draw(subscriptions_from(attrs, terms, max_preds=3)).predicates, id="new")
+        frm = data.draw(st.sampled_from(self.LINKS))
+        skipped = frm if frm in state.neighbors else None
+        live = {n for n in state.neighbors if n != frm}
+        covered = set()
+        for (_, link), e in state.subscriptions.items():
+            if link != skipped and sem_covers(e.sub, sub, kb):
+                covered |= e.forwarded_to
+        expected = live - covered
+        suppressed = state.suppressed
+        _, out = handle_subscribe(state, sub, frm=frm)
+        assert [m.to for m in out] == [n for n in state.neighbors if n in expected]
+        assert state.suppressed - suppressed == len(live) - len(expected)
 
 
 class TestHandleMessage:
