@@ -22,7 +22,8 @@ Document format::
 
 All terms are lowercase.  Hierarchy terms and every attribute or string value
 inside a mapping must already be in root-term form; the loader rejects
-synonym members there instead of normalizing twice.
+synonym members there instead of normalizing twice.  No hierarchy term may
+have more than `MAX_HIERARCHY_DEPTH` (64) strict ancestors.
 
 Mapping bodies are a closed set of combinators so evaluation always
 terminates: RENAME copies an input value under a new attribute, CONST emits
@@ -50,6 +51,13 @@ from .model import (
     read_name,
     read_object,
 )
+
+
+# The most strict ancestors a hierarchy term may have.  Hierarchy
+# augmentation lifts each event pair to every ancestor of its attribute
+# crossed with every ancestor of its value, so depth multiplies the work of
+# every publication; the bound also caps each ancestor walk at load.
+MAX_HIERARCHY_DEPTH = 64
 
 
 class KnowledgeError(ValueError):
@@ -119,6 +127,7 @@ class KnowledgeBase:
         self.hierarchy = tuple(hierarchy)
         self.mappings = tuple(mappings)
         self.reference_year = int(reference_year)
+        # Read only by routing's covering and gating dispatch.
         self.is_empty = not (self.synonyms or self.hierarchy or self.mappings)
         self._root: dict[str, str] = {}
         self._parent: dict[str, str] = {}
@@ -159,6 +168,11 @@ class KnowledgeBase:
                 node = self._parent[node]
                 if node in seen:
                     raise KnowledgeError(f"hierarchy cycle through {excerpt(node)}")
+                if len(chain) == MAX_HIERARCHY_DEPTH:
+                    raise KnowledgeError(
+                        f"hierarchy deeper than {MAX_HIERARCHY_DEPTH} levels"
+                        f" above {excerpt(start)}"
+                    )
                 seen.add(node)
                 chain.append(node)
             self._ancestors[start] = tuple(chain)

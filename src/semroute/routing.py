@@ -37,11 +37,12 @@ once per handling and asks each candidate entry's rows of it with
 benchmark's tracer patches them here by name.  Outgoing messages follow the
 order of the broker's clients and neighbors, not the walk, so a handler
 returns the same list whatever the walk's order; the simulator's reports do
-not depend on that order at all (see `sim`).  An empty knowledge base (no
-synonyms, hierarchy or mappings) selects the syntactic relations for
-covering and gating, which equal the semantic ones over it, and takes the
-subscription and the event as their own normal forms; any other selects the
-semantic ones.
+not depend on that order at all (see `sim`).  Normal forms and event
+summaries take one path under every knowledge base.  Only covering and
+gating still dispatch: an empty knowledge base (no synonyms, hierarchy or
+mappings) selects the syntactic relations, which equal the semantic ones
+over it, and any other the semantic ones; the dispatch stays because the
+benchmark's tracer counts each relation set by name.
 """
 
 from __future__ import annotations

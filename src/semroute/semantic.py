@@ -3,7 +3,9 @@
 Matching an event against a subscription semantically proceeds in stages:
 
 1. Synonym normalization rewrites every attribute name and string value of
-   both sides to its root term.
+   both sides to its root term.  Input already over root terms, as all
+   input is under the empty knowledge base, is its own normal form: the
+   `normalize_*` functions return it and allocate nothing.
 2. Hierarchy augmentation adds, for each event pair, all generalizations
    reachable by climbing the concept hierarchy at the attribute and (for
    string values) the value position.
@@ -31,12 +33,11 @@ advertisement's normal form (`normalized`; None when that is the entity
 itself, so no entity holds itself), on which the kernel keeps its
 summaries, and an event's augmented values summarised as one
 `syntactic.Implied` per attribute over a `(a = v)` predicate per value
-(`event_implied`).  Under an empty knowledge base every entity is its own
-normal form and augmentation adds nothing, so neither is computed: the
-event's own values are summarised.  `augment` builds the values by
-attribute in one pass, with the provenance of each added value;
-`--explain` prints the added values and takes each predicate's witness from
-the values at its attribute.  A predicate holds for some value at its
+(`event_implied`).  Under the empty knowledge base augmentation adds
+nothing, so the event's own values are summarised.  `augment` builds the
+values by attribute in one pass, with the provenance of each added value;
+`--explain` prints the added values and takes each predicate's witness
+from the values at its attribute.  A predicate holds for some value at its
 attribute iff some `(a = v)` implies it, so `sem_match` asks `all_implied`,
 the covering kernel; `match_event` is `sem_match` over the empty knowledge
 base, asked past the memo.  Routing asks the same of each table entry's
@@ -46,7 +47,7 @@ requirement rows (`syntactic.requirement_met`) and without `sem_match`, so
 it is off the oracle's and the mapping-gap check's in `sim`: only the CLI
 and the tests fill it, and it keeps at most 1,024 entries.
 Publish admission (`sem_admits`, and `sem_determines` for one
-advertisement) normalizes each event pair once per publish, however many
+advertisement) normalizes the event once per publish, however many
 advertisements are asked, and asks the kernel, `syntactic.determines`,
 once per advertisement's normal form whether it admits every pair; the
 kernel keeps the gates that decide this on the normal form.
@@ -67,7 +68,6 @@ from .model import (
     Predicate,
     Subscription,
     Value,
-    group_by_attribute,
     kept,
 )
 from .syntactic import (
@@ -118,17 +118,25 @@ def normalize_value(value: Value, kb: KnowledgeBase) -> Value:
 
 
 def normalize_pair(pair: Pair, kb: KnowledgeBase) -> Pair:
-    return Pair(kb.root_term(pair.attribute), normalize_value(pair.value, kb))
+    """The pair over root terms; `pair` itself when it already is."""
+    attribute, value = kb.root_term(pair.attribute), normalize_value(pair.value, kb)
+    if attribute == pair.attribute and value is pair.value:
+        return pair
+    return Pair(attribute, value)
 
 
 def normalize_predicate(pred: Predicate, kb: KnowledgeBase) -> Predicate:
-    return Predicate(
-        kb.root_term(pred.attribute), pred.op, normalize_value(pred.value, kb)
-    )
+    """The predicate over root terms; `pred` itself when it already is."""
+    attribute, value = kb.root_term(pred.attribute), normalize_value(pred.value, kb)
+    if attribute == pred.attribute and value is pred.value:
+        return pred
+    return Predicate(attribute, pred.op, value)
 
 
 def normalize_event(event: Event, kb: KnowledgeBase) -> Event:
-    return Event(tuple(normalize_pair(p, kb) for p in event.pairs))
+    """The event over root terms; `event` itself when it already is."""
+    pairs = tuple(normalize_pair(p, kb) for p in event.pairs)
+    return event if pairs == event.pairs else Event(pairs)
 
 
 _Predicated = TypeVar("_Predicated", Subscription, Advertisement)
@@ -197,14 +205,9 @@ def augment(event: Event, kb: KnowledgeBase) -> AugmentedEvent:
 def augmented_implied(event: Event, kb: KnowledgeBase) -> dict[str, Implied]:
     """What the augmented event implies, per attribute it carries a value at:
     the root forms of its own attributes, their ancestors, and the mapping
-    outputs (`syntactic.implied_by_values`).
-
-    Under an empty knowledge base the event is its own normal form and
-    augmentation adds nothing, so its own values are summarised directly.
+    outputs (`syntactic.implied_by_values`).  Over root terms, as under
+    the empty knowledge base, the event is its own normal form.
     """
-    if kb.is_empty:
-        values = group_by_attribute((p.attribute, p.value) for p in event.pairs)
-        return implied_by_values(values)
     return implied_by_values(augment(normalize_event(event, kb), kb).values)
 
 
@@ -219,9 +222,8 @@ def _other_normal_form(
 
 def normalized(entity: _Predicated, kb: KnowledgeBase) -> _Predicated:
     """The subscription's or advertisement's normal form, kept on it; the
-    entity itself under an empty knowledge base, which has no synonyms."""
-    if kb.is_empty:
-        return entity
+    entity itself when it is over root terms, as under the empty knowledge
+    base, which has no synonyms."""
     normal = kept(entity, "_normalized", kb, _other_normal_form)
     return entity if normal is None else normal
 
@@ -248,12 +250,9 @@ def match_event(event: Event, sub: Subscription) -> bool:
 def sem_admits(
     advertisements: Iterable[Advertisement], event: Event, kb: KnowledgeBase
 ) -> bool:
-    """True iff some advertisement `sem_determines` the event; each pair is
+    """True iff some advertisement `sem_determines` the event; the event is
     normalized once, however many advertisements are asked."""
-    pairs = [
-        (kb.root_term(pair.attribute), normalize_value(pair.value, kb))
-        for pair in event.pairs
-    ]
+    pairs = normalize_event(event, kb).pairs
     return any(determines(normalized(adv, kb), pairs, kb) for adv in advertisements)
 
 

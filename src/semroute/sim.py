@@ -388,10 +388,11 @@ def oracle_deliveries(scenario: Scenario) -> set[tuple[str, int]]:
     subscription matches semantically over `relation_knowledge`, that is over
     the empty knowledge base in syntactic mode.  Each subscription is
     normalized once, when it becomes active, and each event augmented and
-    summarised once (`augmented_implied`, which over the empty knowledge
-    base summarises the event's own values); a subscription is tested only
-    if the event carries all its attributes.  The oracle keeps no state
-    between calls and neither reads nor keeps anything on the entities.
+    summarised once (`augmented_implied`); over the empty knowledge base
+    normalization returns each entity itself and augmentation adds
+    nothing.  A subscription is tested only if the event carries all its
+    attributes.  The oracle keeps no state between calls and neither reads
+    nor keeps anything on the entities.
     Like routing, it never asks `sem_match`, so it neither reads nor fills
     that memo.
     """

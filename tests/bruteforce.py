@@ -21,11 +21,15 @@ decompose pair-wise:
 `exhaustive_*` variants enumerate whole events instead; they are slower and
 exist to validate the decomposition on small universes.
 
-The last section holds the analytic per-pair references: `implies` and
-`jointly_satisfiable` decide one pair of predicates, and `determines` one
-event against an advertisement, by rule rather than by enumeration.  The
-library's `Implied` and `Gate` answer the same questions against a summary
-of many predicates, and the property tests compare the two.
+The analytic per-pair references (`implies` and `jointly_satisfiable`
+decide one pair of predicates, and `determines` one event against an
+advertisement) decide by rule rather than by enumeration.  The library's
+`Implied` and `Gate` answer the same questions against a summary of many
+predicates, and the property tests compare the two.
+
+The last section is a second referee for the simulator's oracle,
+`reference_deliveries`: whole scenarios matched from the semantics alone,
+with nothing from `semantic` or `syntactic`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional
 
-from semroute.knowledge import KnowledgeBase
+from semroute.knowledge import Const, KnowledgeBase, Linear, MappingFunction
 from semroute.model import (
     Advertisement,
     Event,
@@ -347,3 +351,69 @@ def jointly_satisfiable(p: Predicate, q: Predicate) -> bool:
     if p.op is RelOp.NE or q.op is RelOp.NE:
         return True
     return _intervals_overlap(p.interval, q.interval)
+
+
+# A second referee for the oracle.
+
+
+def mapping_outputs(f: MappingFunction, values: dict[str, set[Value]]) -> set[Value]:
+    """The values mapping `f` yields over an event's values by attribute,
+    read from its fields: every input needs a value; a guard on the body's
+    input keeps that input's passing values, a guard on another input needs
+    one passing value; a rename or linear body runs once per kept value
+    (a linear one yields nothing for a non-integer), a const body once."""
+    if not all(values.get(a) for a in f.inputs):
+        return set()
+    guard, body = f.guard, f.body
+    if guard is not None and not any(guard.op.holds(v, guard.value) for v in values[guard.attribute]):
+        return set()
+    if isinstance(body, Const):
+        return {body.value}
+    kept = set(values[body.input])
+    if guard is not None and guard.attribute == body.input:
+        kept = {v for v in kept if guard.op.holds(v, guard.value)}
+    if isinstance(body, Linear):
+        return {Value.integer(body.scale * v.data + body.offset) for v in kept if v.is_int}
+    return kept
+
+
+def event_values(kb: KnowledgeBase, event: Event) -> dict[str, set[Value]]:
+    """Everything an event carries semantically, as attribute -> values:
+    each pair in root form lifted to every ancestor of its attribute
+    crossed with its value's ancestor chain, then each mapping in document
+    order over those values only; outputs feed no later mapping."""
+    lifted: dict[str, set[Value]] = {}
+    for pair in event.pairs:
+        for c in closure(kb, norm_pair(kb, pair)):
+            lifted.setdefault(c.attribute, set()).add(c.value)
+    values = {a: set(vs) for a, vs in lifted.items()}
+    for f in kb.mappings:
+        values.setdefault(f.output, set()).update(mapping_outputs(f, lifted))
+    return values
+
+
+def reference_deliveries(scenario) -> set[tuple[str, int]]:
+    """The (client, publication index) deliveries a `sim.Scenario` is due,
+    decided as S-ToPSS (Petrovic, Burcea and Jacobsen, VLDB 2003) states
+    semantic matching: a publication is due at every client with an
+    earlier subscription each of whose predicates, in root form, holds
+    (`RelOp.holds`) for some value the event carries at its attribute
+    after synonym, hierarchy and mapping expansion (`event_values`).
+    Syntactic mode matches over the empty knowledge base.  Topology,
+    advertisements and the relation kernel play no part."""
+    # Read by value: this module imports nothing from the simulator.
+    kb = scenario.kb if scenario.mode.value == "semantic" else KnowledgeBase()
+    active: list[tuple[str, list[Predicate]]] = []
+    due: set[tuple[str, int]] = set()
+    for action in scenario.script:
+        if action.kind.value == "SUBSCRIBE":
+            active.append((action.frm, [norm_pred(kb, p) for p in action.payload.predicates]))
+        elif action.kind.value == "PUBLISH":
+            values = event_values(kb, action.payload)
+            for client, preds in active:
+                if all(
+                    any(p.op.holds(v, p.value) for v in values.get(p.attribute, ()))
+                    for p in preds
+                ):
+                    due.add((client, action.index))
+    return due

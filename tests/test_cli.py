@@ -248,8 +248,21 @@ predicates:
 no-match
 """),
             ),
+            (
+                ("{(price, 9)}", "(price >= 5)", "--mode", "semantic", "--knowledge", KB),
+                (0, """\
+normalized event: {(price, 9)}
+normalized subscription: (price >= 5)
+added pairs:
+  (none)
+predicates:
+  (price >= 5)  <-  (price, 9)
+match
+"""),
+            ),
         ],
-        ids=["hierarchy", "mapping-output", "first-of-several", "syntactic-no-pair"],
+        ids=["hierarchy", "mapping-output", "first-of-several", "syntactic-no-pair",
+             "nothing-added"],
     )
     def test_explain_output_is_pinned(self, capsys, argv, expected):
         code, out, _ = run_cli(capsys, "match", *argv, "--explain")
@@ -289,6 +302,17 @@ no-match
         )
         assert (code, out) == (2, "")
         assert err == f"error: mapping 'f': result {result} exceeds the 64-bit range\n"
+
+    def test_too_deep_hierarchy_exits_two(self, capsys, tmp_path):
+        kb_path = tmp_path / "kb.json"
+        edges = [{"child": f"t{i}", "parent": f"t{i + 1}"} for i in range(65)]
+        kb_path.write_text(json.dumps({"hierarchy": edges}))
+        code, out, err = run_cli(
+            capsys, "match", "{(t0, 1)}", "(t65 = 1)",
+            "--mode", "semantic", "--knowledge", str(kb_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: hierarchy deeper than 64 levels above 't0'\n"
 
     @pytest.mark.parametrize("raw", UNDECODABLE, ids=UNDECODABLE_IDS)
     def test_undecodable_knowledge_exits_two(self, capsys, tmp_path, raw):

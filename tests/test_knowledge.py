@@ -4,6 +4,7 @@ import random
 import pytest
 
 from semroute.knowledge import (
+    MAX_HIERARCHY_DEPTH,
     Const,
     KnowledgeBase,
     KnowledgeError,
@@ -87,6 +88,11 @@ def doc(**overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def chain(prefix: str, edges: int) -> list[dict]:
+    """A hierarchy chain of `edges` edges, from `<prefix>0` up."""
+    return [{"child": f"{prefix}{i}", "parent": f"{prefix}{i + 1}"} for i in range(edges)]
 
 
 # A mapping whose every key is read.
@@ -414,6 +420,10 @@ class TestLoaderValidation:
                 "cycle",
             ),
             (
+                {"hierarchy": [{"child": "LONG", "parent": "t1"}, *chain("t", 65)[1:]]},
+                "hierarchy deeper than 64 levels above",
+            ),
+            (
                 {"mappings": [{"name": "LONG", "inputs": [], "output": "b",
                                "body": {"kind": "const", "value": 1}}]},
                 "has no inputs",
@@ -426,13 +436,40 @@ class TestLoaderValidation:
             ),
         ],
         ids=["key", "root-member", "two-groups", "hierarchy-root-form", "self-edge",
-             "parents", "cycle", "mapping-name", "mapping-term"],
+             "parents", "cycle", "too-deep", "mapping-name", "mapping-term"],
     )
     def test_long_value_is_quoted_short(self, overrides, message):
         text = json.dumps(doc(**overrides)).replace("LONG", "x" * 5000)
         with pytest.raises(KnowledgeError, match=message) as err:
             load_knowledge(text)
         assert len(str(err.value)) < 200
+
+    def test_mapping_input_repeated_in_another_case(self):
+        mapping = {"name": "f", "inputs": ["a", "A"], "output": "b",
+                   "body": {"kind": "rename", "input": "a"}}
+        with pytest.raises(KnowledgeError, match="mapping 'f' repeats an input"):
+            load_knowledge(doc(mappings=[mapping]))
+
+    @pytest.mark.parametrize(
+        "place, message",
+        [
+            ({"body": {"kind": "const", "value": 2**63}}, "integer out of range"),
+            ({"body": {"kind": "const", "value": -(2**63) - 1}}, "integer out of range"),
+            ({"guard": {"attribute": "a", "op": "=", "value": 2**63}}, "integer out of range"),
+            ({"guard": {"attribute": "a", "op": "=", "value": ""}}, "empty string value"),
+            (
+                {"guard": {"attribute": "a", "op": "<", "value": "x"}},
+                "ordering guard requires an integer",
+            ),
+        ],
+        ids=["const-too-large", "const-too-small", "guard-too-large", "guard-empty-string",
+             "ordering-guard-on-string"],
+    )
+    def test_mapping_values_are_checked(self, place, message):
+        mapping = {"name": "f", "inputs": ["a"], "output": "b",
+                   "body": {"kind": "rename", "input": "a"}, **place}
+        with pytest.raises(KnowledgeError, match=f"^mappings\\[0\\]: {message}$"):
+            load_knowledge(doc(mappings=[mapping]))
 
     @pytest.mark.parametrize(
         "name", [5, None, [1, 2], ""], ids=["int", "null", "list", "empty"]
@@ -442,6 +479,33 @@ class TestLoaderValidation:
                    "body": {"kind": "rename", "input": "a"}}
         with pytest.raises(KnowledgeError, match="name must be a non-empty string"):
             load_knowledge(doc(mappings=[mapping]))
+
+
+class TestDepthBound:
+    """No hierarchy term has more than 64 strict ancestors, so what one
+    event pair lifts to, and each ancestor walk at load, stays bounded."""
+
+    def test_a_64_level_chain_loads(self):
+        kb = load_knowledge(doc(hierarchy=chain("t", 64)))
+        assert MAX_HIERARCHY_DEPTH == 64
+        assert len(kb.ancestors("t0")) == 64
+        assert kb.ancestors("t0")[-1] == "t64"
+
+    @pytest.mark.parametrize(
+        "hierarchy",
+        [chain("t", 65), chain("t", 4000), chain("a", 1000) + chain("v", 1000)],
+        ids=["65-edges", "4000-edges", "attribute-and-value-chains-of-1000"],
+    )
+    def test_a_deeper_hierarchy_is_rejected_at_load(self, hierarchy):
+        first = hierarchy[0]["child"]
+        with pytest.raises(KnowledgeError) as err:
+            load_knowledge(doc(hierarchy=hierarchy))
+        assert str(err.value) == f"hierarchy deeper than 64 levels above '{first}'"
+
+    def test_a_short_cycle_is_still_a_cycle(self):
+        cycle = [*chain("t", 64), {"child": "t64", "parent": "t0"}]
+        with pytest.raises(KnowledgeError, match="hierarchy cycle through 't0'"):
+            load_knowledge(doc(hierarchy=cycle))
 
 
 class TestRootAndAncestorProperties:

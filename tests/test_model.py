@@ -96,6 +96,15 @@ class TestValues:
         assert RelOp.NE.holds(Value.integer(1), Value.boolean(True))
         assert RelOp.NE.holds(Value.string("x"), Value.integer(2))
 
+    def test_empty_string_rejected(self):
+        with pytest.raises(ValueError, match="string values must be non-empty"):
+            Value.string("")
+
+    @pytest.mark.parametrize("op", [RelOp.EQ, RelOp.NE])
+    def test_only_ordering_predicates_have_an_interval(self, op):
+        with pytest.raises(ValueError, match=f"no interval for operator '{op.value}'"):
+            Predicate("a", op, Value.integer(1)).interval
+
 
 class TestParseEvent:
     def test_two_pairs(self):
@@ -144,6 +153,7 @@ class TestParseEvent:
             (parse_event, '{("", 1)}', "empty attribute name", 2),
             (parse_event, '{(a, "")}', "empty string value", 5),
             (parse_event, "{(a, 9223372036854775808)}", "integer out of 64-bit range", 5),
+            (parse_subscription, "(a = 9999999999999999999)", "integer out of 64-bit range", 5),
             (parse_subscription, "(a = 1) AND (b 1)", "expected relational operator", 15),
             (parse_event, "{(a, x)}", "expected value", 5),
             (parse_event, "{(1, 2)}", "expected attribute name", 2),
@@ -170,6 +180,7 @@ class TestParseEvent:
             "empty-attribute",
             "empty-string",
             "integer-out-of-range",
+            "integer-out-of-range-in-subscription",
             "missing-operator",
             "missing-value",
             "missing-attribute",
@@ -264,6 +275,10 @@ class TestParsePredicates:
 class TestRender:
     def test_single_pair(self):
         assert render(parse_event("{(price, 1500)}")) == "{(price, 1500)}"
+
+    def test_only_entities_render(self):
+        with pytest.raises(TypeError, match="cannot render object"):
+            render(object())
 
     def test_subscription_round_trip_is_canonical(self):
         text = '( Product="computer" )AND(price<=1600)'

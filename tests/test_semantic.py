@@ -39,7 +39,10 @@ from semroute.semantic import (
     match_event,
     normalize_advertisement,
     normalize_event,
+    normalize_pair,
+    normalize_predicate,
     normalize_subscription,
+    normalized,
     sem_admits,
     sem_covers,
     sem_determines,
@@ -54,12 +57,15 @@ from .bruteforce import (
     covering_counterexample,
     implies,
     match_pair,
+    norm_pair,
+    norm_pred,
     sem_determines_oracle,
     sem_match_oracle,
     universe,
     witness_exists,
 )
 from .conftest import (
+    advertisements_from,
     events_from,
     make_forest_kb,
     random_advertisement,
@@ -120,6 +126,48 @@ class TestNormalization:
         event = parse_event('{(car, 5), (school, true)}')
         normalized = normalize_event(event, example_kb)
         assert normalized == parse_event('{(vehicle, 5), (university, true)}')
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_input_over_root_terms_is_its_own_normal_form(self, data):
+        # Each normal form equals the reference's, and is the input object
+        # itself exactly when it equals the input.
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        terms = [f"t{i}" for i in range(rng.randint(3, 10))]
+        kb = make_forest_kb(rng, len(terms), with_synonyms=True)
+        spellings = [*terms, *sorted(m for g in kb.synonyms for m in g.members), "price"]
+        pair = data.draw(st.builds(Pair, st.sampled_from(spellings), values_from(spellings)))
+        pred = data.draw(predicates_from(spellings, spellings))
+        event = data.draw(events_from(spellings, spellings))
+        sub = data.draw(subscriptions_from(spellings, spellings))
+        adv = data.draw(advertisements_from(spellings, spellings))
+        reference_sub = Subscription(tuple(norm_pred(kb, p) for p in sub.predicates))
+        reference_adv = Advertisement(tuple(norm_pred(kb, p) for p in adv.predicates))
+        cases = [
+            (pair, normalize_pair(pair, kb), norm_pair(kb, pair)),
+            (pred, normalize_predicate(pred, kb), norm_pred(kb, pred)),
+            (event, normalize_event(event, kb), Event(tuple(norm_pair(kb, p) for p in event.pairs))),
+            (sub, normalize_subscription(sub, kb), reference_sub),
+            (adv, normalize_advertisement(adv, kb), reference_adv),
+            (sub, normalized(sub, kb), reference_sub),
+            (adv, normalized(adv, kb), reference_adv),
+        ]
+        for given_, normal, reference in cases:
+            assert normal == reference
+            assert (normal is given_) == (normal == given_)
+
+    def test_nothing_is_rebuilt_under_the_empty_knowledge_base(self):
+        event = parse_event('{(automobile, "car"), (price, 10)}')
+        sub = parse_subscription('(automobile = "car") AND (price > 5)')
+        assert normalize_event(event, KnowledgeBase.empty()) is event
+        assert normalized(sub, KnowledgeBase.empty()) is sub
+
+    def test_a_synonym_spelled_event_is_rebuilt(self, example_kb):
+        event = parse_event('{(automobile, "car"), (price, 10)}')
+        normal = normalize_event(event, example_kb)
+        assert normal is not event
+        assert normal == Event(tuple(norm_pair(example_kb, p) for p in event.pairs))
+        assert normal.pairs[1] is event.pairs[1]
 
 
 class TestAugment:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import random
 
@@ -32,7 +33,8 @@ from semroute.sim import (
     verify,
 )
 
-from .conftest import SCENARIOS
+from .bruteforce import reference_deliveries
+from .conftest import ROOT, SCENARIOS, make_forest_kb
 from .test_golden_reports import cases as golden_cases
 from .test_golden_reports import load_case as load_golden_case
 
@@ -115,6 +117,13 @@ class TestLoadValidation:
         doc = minimal_doc(knowledge="kb.json")
         with pytest.raises(ScenarioError, match="bad knowledge document: invalid JSON"):
             load_scenario(doc, base_dir=tmp_path)
+
+    def test_too_deep_hierarchy(self):
+        edges = [{"child": f"t{i}", "parent": f"t{i + 1}"} for i in range(65)]
+        doc = minimal_doc(knowledge={"hierarchy": edges})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert str(err.value) == "bad knowledge document: hierarchy deeper than 64 levels above 't0'"
 
     def test_non_object_document(self):
         with pytest.raises(ScenarioError, match="scenario must be a JSON object"):
@@ -887,6 +896,79 @@ class TestOracleReferee:
             assert sem_match.cache_info().currsize == 0, name
             delivered += len(expected)
         assert delivered > 0
+
+
+def _bench_workloads():
+    """The benchmark's scenario generator, `bench/workloads.py`, imported by
+    path."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lifted_integers_document(seed: int) -> dict:
+    """A semantic scenario over a random forest with synonyms whose events
+    carry integers, so that hierarchy lifting and a linear mapping from a
+    parent term put several integers at one attribute, where an ordering
+    predicate must hold for some one of them."""
+    rng = random.Random(seed)
+    terms = [f"t{i}" for i in range(rng.randint(4, 8))]
+    forest = make_forest_kb(rng, len(terms), with_synonyms=True)
+    spellings = terms + sorted(m for g in forest.synonyms for m in g.members)
+    source = rng.choice(sorted({parent for _, parent in forest.hierarchy}) or terms)
+    body = {"kind": "linear", "input": source, "scale": 2, "offset": -3}
+    knowledge = {
+        "synonyms": [{"root": g.root, "members": sorted(g.members)} for g in forest.synonyms],
+        "hierarchy": [{"child": c, "parent": p} for c, p in forest.hierarchy],
+        "mappings": [{"name": "f", "inputs": [source], "output": "cost", "body": body}],
+    }
+    subscribers = ["s1", "s2", "s3"]
+    clients = [{"id": c, "broker": b} for c, b in zip(["pub", *subscribers], ["b1", "b1", "b2", "b3"])]
+    script = [{"action": "advertise", "client": "pub",
+               "payload": " AND ".join(f'({t} != "none")' for t in terms)}]
+    for _ in range(16):
+        if rng.random() < 0.5:
+            preds = [
+                f"({rng.choice([*spellings, 'cost'])} {rng.choice(['<', '<=', '>', '>=', '='])} {rng.randint(-5, 15)})"
+                for _ in range(rng.randint(1, 3))
+            ]
+            script.append({"action": "subscribe", "client": rng.choice(subscribers),
+                           "payload": " AND ".join(preds)})
+        else:
+            pairs = [f"({a}, {rng.randint(-5, 15)})" for a in rng.sample(spellings, rng.randint(1, 4))]
+            script.append({"action": "publish", "client": "pub", "payload": "{" + ", ".join(pairs) + "}"})
+    return {"brokers": ["b1", "b2", "b3"], "edges": [["b1", "b2"], ["b2", "b3"]],
+            "clients": clients, "knowledge": knowledge, "mode": "semantic", "script": script}
+
+
+class TestSecondReferee:
+    """The oracle equals `bruteforce.reference_deliveries`, which decides
+    deliveries from the semantics without the relation kernel, on every
+    golden case and on the benchmark's workloads."""
+
+    @pytest.mark.parametrize("case", golden_cases())
+    def test_golden_cases(self, case):
+        scenario = load_golden_case(case)
+        assert reference_deliveries(scenario) == oracle_deliveries(scenario)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("workload", ["sem-publish", "syn-subscribe", "sem-churn"])
+    def test_bench_workloads(self, workload, seed):
+        document = _bench_workloads().generate(workload, seed)
+        scenario = load_scenario(json.dumps(document))
+        expected = oracle_deliveries(scenario)
+        assert expected
+        assert reference_deliveries(scenario) == expected
+
+    def test_integers_lifted_to_one_attribute(self):
+        delivered = 0
+        for seed in range(40):
+            scenario = load_scenario(json.dumps(_lifted_integers_document(seed)))
+            expected = oracle_deliveries(scenario)
+            assert reference_deliveries(scenario) == expected, seed
+            delivered += len(expected)
+        assert delivered > 40
 
 
 class TestOracleKeepsNothing:
